@@ -50,8 +50,9 @@ __all__ = [
     "rescaling_identity_check",
 ]
 
-# sup of rho(x)/rho(y) over |x-y| <= rho(x) is 4/3 (attained leaving the
-# plateau); 1.5 keeps a margin and feeds the dilated-block geometry
+# sup of rho(x)/rho(y) over |x-y| <= rho(x) is 5/4, attained at x = 1 where
+# rho(1)/rho(1.5) = 0.5/0.4; 1.5 keeps a margin and feeds the dilated-block
+# geometry
 COMPARABILITY_C0 = 1.5
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "bessel",
     "hermite",
     "laguerre",
-    "XiParameter",
     "critical_radius",
     "poisson_classical",
     "dt_poisson_classical",
@@ -121,26 +120,6 @@ def laguerre(alpha: float) -> KernelSetting:
     return KernelSetting("laguerre", alpha=alpha)
 
 
-@dataclass(frozen=True)
-class XiParameter:
-    """Cross argument xi = 2 x y e^{-u} / (1 - e^{-2u}) = x y / sinh(u).
-
-    Strictly decreasing in u for fixed x, y > 0, divergent as u -> 0+.
-    """
-
-    u: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.u <= 0.0 or self.x <= 0.0 or self.y <= 0.0:
-            raise DomainError("XiParameter requires u, x, y > 0")
-
-    @property
-    def value(self) -> float:
-        return self.x * self.y / math.sinh(self.u)
-
-
 def critical_radius(x):
     """Radius of locality for the harmonic oscillator: 1/2 inside |x|<=1, 1/(1+|x|) outside."""
     x = np.asarray(x, dtype=float)
@@ -183,30 +162,73 @@ def heat_classical(t, z, diffusion: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def _bessel_theta_sums(alpha: float, t, x, y, n: int, power_shift: int = 0):
-    """Angular quadratures of the Poisson integrand over (0, pi).
+_PIECES = ("1", "11", "12", "13")
 
-    Returns (J1, J2) where J1 = int_0^pi (sin th)^{2a-1} D^{-(a+1+s)} dth and
-    J2 = the same with exponent a+2+s, D = (x-y)^2 + t^2 + 2xy(1-cos th).
-    The algebraic endpoint weight at both ends is handled by Gauss-Jacobi
-    rules; the remaining factor is smooth.
+
+def _bessel_sums(piece: str, alpha: float, t, x, y, n: int):
+    """Angular quadratures (sign, J1, J2) behind the Bessel Poisson kernel.
+
+    J1 = int weight(th) D(th)^{-(a+1)} dth and J2 is the same with exponent
+    a+2, where A = (x-y)^2 + t^2 and, by piece,
+
+    "full": weight (sin th)^{2a-1}, D = A + 2xy(1-cos th), th in (0, pi),
+            summed as the half (0, pi/2) plus its mirror th -> pi - th;
+    "1":    the same integrand on (0, pi/2) only;
+    "11":   weight th^{2a-1}, same D, on (0, pi/2);
+    "12":   weight th^{2a-1}, flattened D = A + xy th^2, on (0, pi/2);
+    "13":   the "12" integrand on (pi/2, inf), mapped to tau = 1/th in
+            (0, 2/pi) where it is smooth; it enters with sign -1.
+
+    The algebraic endpoint weight th^{2a-1} is carried by a Gauss-Jacobi
+    rule; the remaining factor is smooth.
     """
-    beta = 2.0 * alpha - 1.0
-    th, w = gauss_jacobi_rule(beta, math.pi / 2.0, n)
+    _check_halfline(alpha, t, x, y)
     shape = (n,) + (1,) * np.ndim(x * y)
-    th = th.reshape(shape)
-    w = w.reshape(shape)
-    smooth = (np.sin(th) / th) ** beta
-    p1 = alpha + 1.0 + power_shift
-    out1 = 0.0
-    out2 = 0.0
-    for sign in (1.0, -1.0):
-        # sign=+1: theta in (0, pi/2); sign=-1: theta in (pi/2, pi) mirrored
-        angle = th if sign > 0 else math.pi - th
-        d = (x - y) ** 2 + t * t + 2.0 * x * y * (1.0 - np.cos(angle))
-        out1 = out1 + np.sum(w * smooth * d ** (-p1), axis=0)
-        out2 = out2 + np.sum(w * smooth * d ** (-p1 - 1.0), axis=0)
-    return out1, out2
+    a = (x - y) ** 2 + t * t
+    if piece == "13":
+        tau, w = gauss_legendre_rule(0.0, 2.0 / math.pi, n)
+        tau, w = tau.reshape(shape), w.reshape(shape)
+        sign, w1, w2 = -1.0, w * tau, w * tau ** 3
+        dens = (a * tau * tau + x * y,)
+    else:
+        beta = 2.0 * alpha - 1.0
+        th, w = gauss_jacobi_rule(beta, math.pi / 2.0, n)
+        th, w = th.reshape(shape), w.reshape(shape)
+        if piece in ("full", "1"):
+            w = w * (np.sin(th) / th) ** beta
+        sign, w1, w2 = 1.0, w, w
+        if piece == "12":
+            dens = (a + x * y * th * th,)
+        else:
+            angles = (th, math.pi - th) if piece == "full" else (th,)
+            # a generator: each denominator has shape (n,) + grid shape,
+            # so only one is held at a time
+            dens = (a + 2.0 * x * y * (1.0 - np.cos(angle)) for angle in angles)
+    p = alpha + 1.0
+    j1 = 0.0
+    j2 = 0.0
+    for d in dens:
+        j1 = j1 + np.sum(w1 * d ** (-p), axis=0)
+        j2 = j2 + np.sum(w2 * d ** (-p - 1.0), axis=0)
+    return sign, j1, j2
+
+
+def _bessel_value(piece: str, alpha: float, t, x, y, n: int):
+    sign, j1, _ = _bessel_sums(piece, alpha, t, x, y, n)
+    return sign * (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha * t * j1
+
+
+def _bessel_dt(piece: str, alpha: float, t, x, y, n: int):
+    sign, j1, j2 = _bessel_sums(piece, alpha, t, x, y, n)
+    pref = sign * (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha
+    return pref * (j1 - 2.0 * (alpha + 1.0) * t * t * j2)
+
+
+def _piece_label(piece) -> str:
+    piece = str(piece)
+    if piece not in _PIECES:
+        raise DomainError(f"unknown piece {piece!r}")
+    return piece
 
 
 def poisson_bessel(alpha: float, t, x, y, n: int = THETA_NODES, rule: QuadratureRule | None = None):
@@ -215,60 +237,15 @@ def poisson_bessel(alpha: float, t, x, y, n: int = THETA_NODES, rule: Quadrature
     If a rule is given, the quadrature is re-evaluated at 3n/2 nodes and the
     difference must satisfy the rule's tolerances (raises otherwise).
     """
-    _check_halfline(alpha, t, x, y)
-    pref = (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha * t
-    j1, _ = _bessel_theta_sums(alpha, t, x, y, n)
-    value = pref * j1
+    value = _bessel_value("full", alpha, t, x, y, n)
     if rule is not None:
-        j1b, _ = _bessel_theta_sums(alpha, t, x, y, (3 * n) // 2)
-        _enforce_rule(value, pref * j1b, rule, "poisson_bessel")
+        _enforce_rule(value, _bessel_value("full", alpha, t, x, y, (3 * n) // 2), rule, "poisson_bessel")
     return value
 
 
 def dt_poisson_bessel(alpha: float, t, x, y, n: int = THETA_NODES):
     """Analytic time derivative of the Bessel Poisson kernel."""
-    _check_halfline(alpha, t, x, y)
-    pref = (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha
-    j1, j2 = _bessel_theta_sums(alpha, t, x, y, n)
-    return pref * (j1 - 2.0 * (alpha + 1.0) * t * t * j2)
-
-
-def _bessel_band_sums(alpha: float, t, x, y, n: int, variant: str):
-    """Quadratures over (0, pi/2) for the split pieces of the kernel.
-
-    variant "1":  weight (sin th)^{2a-1}, full denominator;
-    variant "11": weight th^{2a-1},       full denominator;
-    variant "12": weight th^{2a-1},       flattened denominator A + xy th^2.
-    """
-    beta = 2.0 * alpha - 1.0
-    th, w = gauss_jacobi_rule(beta, math.pi / 2.0, n)
-    shape = (n,) + (1,) * np.ndim(x * y)
-    th = th.reshape(shape)
-    w = w.reshape(shape)
-    smooth = (np.sin(th) / th) ** beta if variant == "1" else 1.0
-    if variant == "12":
-        d = (x - y) ** 2 + t * t + x * y * th * th
-    else:
-        d = (x - y) ** 2 + t * t + 2.0 * x * y * (1.0 - np.cos(th))
-    p = alpha + 1.0
-    j1 = np.sum(w * smooth * d ** (-p), axis=0)
-    j2 = np.sum(w * smooth * d ** (-p - 1.0), axis=0)
-    return j1, j2
-
-
-def _bessel_tail_sums(alpha: float, t, x, y, n: int):
-    """Quadratures over theta in (pi/2, inf) of the flattened integrand,
-    mapped to tau = 1/theta in (0, 2/pi) where the integrand is smooth."""
-    tau, w = gauss_legendre_rule(0.0, 2.0 / math.pi, n)
-    shape = (n,) + (1,) * np.ndim(x * y)
-    tau = tau.reshape(shape)
-    w = w.reshape(shape)
-    a = (x - y) ** 2 + t * t
-    den = a * tau * tau + x * y
-    p = alpha + 1.0
-    j1 = np.sum(w * tau * den ** (-p), axis=0)
-    j2 = np.sum(w * tau ** 3 * den ** (-p - 1.0), axis=0)
-    return j1, j2
+    return _bessel_dt("full", alpha, t, x, y, n)
 
 
 def poisson_bessel_piece(piece, alpha: float, t, x, y, n: int = THETA_NODES):
@@ -280,30 +257,12 @@ def poisson_bessel_piece(piece, alpha: float, t, x, y, n: int = THETA_NODES):
     "13" the (negative) remainder integral over theta in (pi/2, infinity)
          that restores the classical kernel: piece "12" = classical + "13".
     """
-    piece = str(piece)
-    _check_halfline(alpha, t, x, y)
-    pref = (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha
-    if piece in ("1", "11", "12"):
-        j1, _ = _bessel_band_sums(alpha, t, x, y, n, piece)
-        return pref * t * j1
-    if piece == "13":
-        j1, _ = _bessel_tail_sums(alpha, t, x, y, n)
-        return -pref * t * j1
-    raise DomainError(f"unknown piece {piece!r}")
+    return _bessel_value(_piece_label(piece), alpha, t, x, y, n)
 
 
 def dt_poisson_bessel_piece(piece, alpha: float, t, x, y, n: int = THETA_NODES):
     """Analytic time derivative of a split piece."""
-    piece = str(piece)
-    _check_halfline(alpha, t, x, y)
-    pref = (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha
-    if piece in ("1", "11", "12"):
-        j1, j2 = _bessel_band_sums(alpha, t, x, y, n, piece)
-        return pref * (j1 - 2.0 * (alpha + 1.0) * t * t * j2)
-    if piece == "13":
-        j1, j2 = _bessel_tail_sums(alpha, t, x, y, n)
-        return -pref * (j1 - 2.0 * (alpha + 1.0) * t * t * j2)
-    raise DomainError(f"unknown piece {piece!r}")
+    return _bessel_dt(_piece_label(piece), alpha, t, x, y, n)
 
 
 def heat_bessel(alpha: float, t, x, y):
@@ -354,7 +313,7 @@ def heat_laguerre(alpha: float, t, x, y):
 
     Log-domain evaluation: the cross term I_nu(xi) with xi = xy/sinh(t) is
     combined with the Gaussian factor before exponentiating, so xi up to 1e6
-    and beyond stays finite.
+    and beyond stays finite; log I also covers xi that underflows (large t).
     """
     _check_halfline(alpha, t, x, y)
     t = np.asarray(t, dtype=float)
@@ -362,18 +321,9 @@ def heat_laguerre(alpha: float, t, x, y):
     y = np.asarray(y, dtype=float)
     nu = alpha - 0.5
     log_sh = _log_sinh(t)
-    log_xi = np.log(x * y) - log_sh
-    xi = np.exp(log_xi)
+    xi = np.exp(np.log(x * y) - log_sh)
     coth = 1.0 / np.tanh(t)
-    from scipy.special import gammaln
-
-    tiny = xi < 1e-290
-    log_i = np.empty_like(xi)
-    if np.any(~tiny):
-        log_i[~tiny] = log_modified_bessel_i(nu, xi[~tiny])
-    if np.any(tiny):
-        # leading term of the ascending series, safe for underflowing xi
-        log_i[tiny] = nu * (log_xi[tiny] - math.log(2.0)) - gammaln(nu + 1.0)
+    log_i = log_modified_bessel_i(nu, xi)
     log_val = 0.5 * np.log(x * y) - log_sh + log_i - 0.5 * coth * (x * x + y * y)
     return np.exp(log_val)
 
@@ -405,11 +355,27 @@ def poisson_via_subordination(
     return integrate_subordination(g, t, rule=rule)
 
 
+def _subordinate(setting: KernelSetting, t: float, x, y, n: int, dt: bool):
+    """Fixed Gauss-Legendre subordination sum over w in (0, 8):
+
+        sum_q wt_q e^{-w_q^2} [1 - 2 w_q^2 if dt] W_{t^2/4w_q^2}(x, y).
+    """
+    w, wt = gauss_legendre_rule(0.0, _SUBORDINATION_WMAX, n)
+    acc = 0.0
+    for wq, ww in zip(w, wt):
+        weight = ww * math.exp(-wq * wq)
+        if dt:
+            weight = weight * (1.0 - 2.0 * wq * wq)
+        acc = acc + weight * heat_kernel(setting, t * t / (4.0 * wq * wq), x, y)
+    return acc
+
+
 def poisson_kernel_grid(setting: KernelSetting, t: float, x, y, n: int = SUBORDINATION_NODES):
     """Poisson kernel on broadcastable argument arrays.
 
     Classical and Bessel settings use their analytic angular/closed forms;
-    oscillator settings use a fixed Gauss-Legendre subordination rule.
+    oscillator settings use the fixed Gauss-Legendre subordination rule
+    P_t = (2/sqrt(pi)) int_0^inf e^{-w^2} W_{t^2/4w^2} dw.
     """
     if t <= 0.0:
         raise DomainError("poisson kernel requires t > 0")
@@ -417,12 +383,7 @@ def poisson_kernel_grid(setting: KernelSetting, t: float, x, y, n: int = SUBORDI
         return poisson_classical(t, np.asarray(x) - np.asarray(y), diffusion=setting.diffusion)
     if setting.variant == "bessel":
         return poisson_bessel(setting.alpha, t, x, y)
-    w, wt = gauss_legendre_rule(0.0, _SUBORDINATION_WMAX, n)
-    acc = 0.0
-    for wq, ww in zip(w, wt):
-        u = t * t / (4.0 * wq * wq)
-        acc = acc + ww * math.exp(-wq * wq) * heat_kernel(setting, u, x, y)
-    return (2.0 / math.sqrt(math.pi)) * acc
+    return (2.0 / math.sqrt(math.pi)) * _subordinate(setting, t, x, y, n, dt=False)
 
 
 def dt_poisson_kernel_grid(setting: KernelSetting, t: float, x, y, n: int = SUBORDINATION_NODES):
@@ -437,12 +398,7 @@ def dt_poisson_kernel_grid(setting: KernelSetting, t: float, x, y, n: int = SUBO
         return dt_poisson_classical(t, np.asarray(x) - np.asarray(y), diffusion=setting.diffusion)
     if setting.variant == "bessel":
         return dt_poisson_bessel(setting.alpha, t, x, y)
-    w, wt = gauss_legendre_rule(0.0, _SUBORDINATION_WMAX, n)
-    acc = 0.0
-    for wq, ww in zip(w, wt):
-        u = t * t / (4.0 * wq * wq)
-        acc = acc + ww * math.exp(-wq * wq) * (1.0 - 2.0 * wq * wq) * heat_kernel(setting, u, x, y)
-    return (2.0 / (t * math.sqrt(math.pi))) * acc
+    return (2.0 / (t * math.sqrt(math.pi))) * _subordinate(setting, t, x, y, n, dt=True)
 
 
 # ---------------------------------------------------------------------------

@@ -731,7 +731,6 @@ def estimate_catalog(alpha: float = 1.5) -> list:
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-    nu = alpha - 0.5
     half_box = ((0.05, 3.0), (0.05, 6.0), (0.05, 6.0))
     line_box = ((0.05, 4.0), (-6.0, 6.0), (-6.0, 6.0))
     records = [
@@ -863,7 +862,6 @@ def estimate_catalog(alpha: float = 1.5) -> list:
             base_shape=(9, 33, 33),
         ),
     ]
-    _ = nu
     return records
 
 

@@ -37,14 +37,6 @@ def test_setting_validation():
     assert kn.bessel(0.7).nu == pytest.approx(0.2)
 
 
-def test_xi_parameter_monotone():
-    a = kn.XiParameter(u=0.5, x=1.0, y=2.0)
-    b = kn.XiParameter(u=1.5, x=1.0, y=2.0)
-    assert a.value > b.value > 0.0
-    with pytest.raises(DomainError):
-        kn.XiParameter(u=-1.0, x=1.0, y=1.0)
-
-
 def test_critical_radius_values():
     assert kn.critical_radius(0.0) == pytest.approx(0.5)
     assert kn.critical_radius(1.0) == pytest.approx(0.5)
@@ -189,8 +181,43 @@ def test_pieces_vanish_at_small_time():
 
 
 def test_piece_rejects_unknown():
-    with pytest.raises(DomainError):
-        kn.poisson_bessel_piece("7", 0.8, 0.5, 1.0, 1.0)
+    # "full" labels the whole kernel inside the module; it is not a piece
+    for fn in (kn.poisson_bessel_piece, kn.dt_poisson_bessel_piece):
+        for label in ("7", "full", "2", ""):
+            with pytest.raises(DomainError):
+                fn(label, 0.8, 0.5, 1.0, 1.0)
+
+
+# values of the angular (Bessel) and subordinated (oscillator) kernels at
+# alpha = 1.5, t = 0.37, x = 1.3, y = 0.8, recorded from the per-piece
+# quadrature code these functions replaced
+FROZEN_ANGULAR = {
+    None: (0.2334497272059721, 0.09241031050236055),
+    "1": (0.21734548381667926, 0.058624058355302086),
+    "11": (0.272876238019347, 0.12647066358291928),
+    "12": (0.24658588955094243, 0.10212958452676774),
+    "13": (-0.05782004967883888, -0.1383705218411628),
+}
+FROZEN_SUBORDINATED = {
+    "hermite": (0.20338316881115032, 0.27010386728996477),
+    "laguerre": (0.1753158452961264, 0.20955499493859622),
+}
+
+
+def test_kernel_frozen_values():
+    a, t, x, y = 1.5, 0.37, 1.3, 0.8
+    for piece, (value, dt) in FROZEN_ANGULAR.items():
+        if piece is None:
+            got = (kn.poisson_bessel(a, t, x, y), kn.dt_poisson_bessel(a, t, x, y))
+        else:
+            got = (kn.poisson_bessel_piece(piece, a, t, x, y),
+                   kn.dt_poisson_bessel_piece(piece, a, t, x, y))
+        assert float(got[0]) == pytest.approx(value, rel=1e-13)
+        assert float(got[1]) == pytest.approx(dt, rel=1e-13)
+    for setting in (kn.hermite(), kn.laguerre(a)):
+        value, dt = FROZEN_SUBORDINATED[setting.variant]
+        assert float(kn.poisson_kernel_grid(setting, t, x, y)) == pytest.approx(value, rel=1e-13)
+        assert float(kn.dt_poisson_kernel_grid(setting, t, x, y)) == pytest.approx(dt, rel=1e-13)
 
 
 def test_dt_poisson_bessel_matches_difference_quotient():
@@ -204,6 +231,14 @@ def test_dt_poisson_bessel_matches_difference_quotient():
               - float(kn.poisson_bessel_piece(piece, a, t - h, x, y))) / (2 * h)
         assert float(kn.dt_poisson_bessel_piece(piece, a, t, x, y)) == pytest.approx(
             fd, rel=1e-6)
+
+
+def test_heat_kernels_tiny_arguments_finite():
+    # x y / (2t) = 5e-261: (z/2)^nu underflows inside log I
+    v = float(kn.heat_bessel(3.5, 1.0, 1e-130, 1e-130))
+    assert np.isfinite(v) and v >= 0.0
+    v = float(kn.heat_laguerre(3.5, 1.0, 1e-130, 1e-130))
+    assert np.isfinite(v) and v >= 0.0
 
 
 def test_halfline_preconditions():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,7 @@ from hypothesis import strategies as st
 
 from semireg.errors import DomainError
 from semireg.specfun import (
-    AsymptoticCoefficients,
-    bessel_i_crossover,
     bessel_j,
-    gamma,
     hermite_function,
     hermite_function_table,
     laguerre_function,
@@ -18,24 +16,6 @@ from semireg.specfun import (
     log_modified_bessel_i,
     modified_bessel_i,
 )
-
-
-def test_gamma_known_values():
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        gamma(0.0)
-    with pytest.raises(DomainError):
-        gamma(-1.5)
-
-
-@given(st.floats(min_value=0.1, max_value=20.0))
-def test_gamma_functional_equation(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 # ground state value, pi^(-1/4)
@@ -143,43 +123,67 @@ def test_modified_bessel_small_z_series_regime():
     # ascending series: I_nu(z) ~ (z/2)^nu / Gamma(nu+1) * (1 + z^2/(4(nu+1)))
     nu = 0.8
     for z in (1e-3, 1e-2):
-        lead = (z / 2.0) ** nu / gamma(nu + 1.0)
+        lead = (z / 2.0) ** nu / math.gamma(nu + 1.0)
         expect = lead * (1.0 + z * z / (4.0 * (nu + 1.0)))
         assert modified_bessel_i(nu, z) == pytest.approx(expect, rel=1e-8)
 
 
 def test_modified_bessel_large_z_asymptotic_regime():
-    # leading asymptotic e^z/sqrt(2 pi z) with the first correction term,
-    # normalized against (2z)^k
+    # leading asymptotic e^z/sqrt(2 pi z) with the bracket
+    # 1 - (4nu^2-1)/(8z) + (4nu^2-1)(4nu^2-9)/(128z^2)
     nu = 0.8
-    co = AsymptoticCoefficients.compute(nu, 3)
+    mu = 4.0 * nu * nu
     for z in (60.0, 200.0):
         lead = math.exp(z) / math.sqrt(2.0 * math.pi * z)
-        expect = lead * (1.0 - co.values[1] / (2.0 * z) + co.values[2] / (2.0 * z) ** 2)
+        expect = lead * (1.0 - (mu - 1.0) / (8.0 * z) + (mu - 1.0) * (mu - 9.0) / (128.0 * z * z))
         assert modified_bessel_i(nu, z) == pytest.approx(expect, rel=1e-6)
 
 
-def test_asymptotic_coefficients_vanish_for_half_integer():
-    co = AsymptoticCoefficients.compute(0.5, 4)
-    assert co.values[0] == 1.0
-    assert all(abs(v) < 1e-15 for v in co.values[1:])
-
-
-def test_crossover_location():
-    assert bessel_i_crossover(0.5) == 12.0
-    assert bessel_i_crossover(4.0) == 32.0
+def _log_i_reference(nu, z):
+    with mpmath.workdps(30):
+        return float(mpmath.log(mpmath.besseli(nu, z)))
 
 
 def test_modified_bessel_scipy_cross_check():
-    import scipy.special
-
+    # the scipy-backed I_nu against an independent mpmath reference
     rng = np.random.default_rng(7)
     nu = rng.uniform(0.1, 3.0, 50)
     z = rng.uniform(0.05, 40.0, 50)
     for n, zz in zip(nu, z):
         assert modified_bessel_i(n, zz) == pytest.approx(
-            float(scipy.special.iv(n, zz)), rel=1e-9
+            float(mpmath.besseli(n, zz)), rel=1e-9
         )
+    # across z = 12 and beyond the range where I itself overflows
+    for n in (0.3, 1.5, 2.8):
+        for zz in (11.5, 11.99, 12.0, 12.01, 12.5, 20.0, 1e3, 1e5, 1e8):
+            assert log_modified_bessel_i(n, zz) == pytest.approx(_log_i_reference(n, zz), rel=1e-9)
+
+
+def test_log_modified_bessel_matches_mpmath_everywhere():
+    # log I enters the heat kernels as an additive term of the kernel's
+    # logarithm, so its error is measured relative to max(1, |log I|): that
+    # is the relative error it causes in the kernel.  Near log I = 0 (small
+    # z for nu = 0, and where I_nu(z) = 1) no double-precision evaluation has
+    # a small relative error in log I itself.
+    z = np.geomspace(1e-250, 1e8, 121)
+    for nu in (0.0, 0.2, 0.5, 1.0, 1.3, 2.5, 3.0, 5.0):
+        got = log_modified_bessel_i(nu, z)
+        ref = np.array([_log_i_reference(nu, zz) for zz in z])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
+
+
+def test_log_modified_bessel_underflowing_scaled_value():
+    # (z/2)^nu underflows: the scaled ive is 0 and log I must come from the
+    # leading series term, finite and without a divide-by-zero warning
+    for nu in (1.3, 3.0, 5.0):
+        for z in (1e-250, 1e-100):
+            assert log_modified_bessel_i(nu, z) == pytest.approx(_log_i_reference(nu, z), rel=1e-14)
+    # z = 0 (an underflowed argument): log I_0(0) = 0, log I_nu(0) = -inf
+    assert log_modified_bessel_i(0.0, np.array([0.0, 1.0]))[0] == 0.0
+    assert log_modified_bessel_i(1.3, 0.0) == -math.inf
+    with pytest.raises(DomainError):
+        log_modified_bessel_i(1.3, -1.0)
 
 
 def test_log_modified_bessel_consistency():
