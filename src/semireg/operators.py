@@ -255,55 +255,47 @@ def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _KernelFamily:
-    """dt kernel + value kernel + diagonal mass, addressable by a cache key."""
+class _Term:
+    """One kernel of a family: the setting's whole kernel, or a Bessel split
+    piece, read at (x, y) or, when reflected, at (x, -y)."""
 
-    key: str
-    dt_kernel: Callable
-    value_kernel: Callable
+    setting: KernelSetting
+    piece: str | None = None
+    reflected: bool = False
+
+
+@dataclass(frozen=True)
+class _KernelFamily:
+    """Signed sum of kernel terms, ((sign, _Term), ...) with signs +-1, plus
+    the family's mass at the diagonal."""
+
+    terms: tuple
     identity_mass: float
 
 
 def _family_for(setting: KernelSetting) -> _KernelFamily:
-    return _KernelFamily(
-        key="full:" + setting.describe(),
-        dt_kernel=lambda u, X, Y: dt_poisson_kernel_grid(setting, u, X, Y),
-        value_kernel=lambda u, X, Y: poisson_kernel_grid(setting, u, X, Y),
-        identity_mass=1.0,
-    )
+    return _KernelFamily(((1, _Term(setting)),), 1.0)
 
 
 def _family_reflected(setting: KernelSetting) -> _KernelFamily:
     if setting.domain != "real-line":
         raise DomainError("reflected kernels need a whole-line setting")
-    return _KernelFamily(
-        key="reflected:" + setting.describe(),
-        dt_kernel=lambda u, X, Y: dt_poisson_kernel_grid(setting, u, X, -Y),
-        value_kernel=lambda u, X, Y: poisson_kernel_grid(setting, u, X, -Y),
-        identity_mass=0.0,
-    )
+    return _KernelFamily(((1, _Term(setting, reflected=True)),), 0.0)
 
 
 def _family_difference(fam_a: _KernelFamily, fam_b: _KernelFamily) -> _KernelFamily:
     return _KernelFamily(
-        key=f"diff:[{fam_a.key}]-[{fam_b.key}]",
-        dt_kernel=lambda u, X, Y: fam_a.dt_kernel(u, X, Y) - fam_b.dt_kernel(u, X, Y),
-        value_kernel=lambda u, X, Y: fam_a.value_kernel(u, X, Y) - fam_b.value_kernel(u, X, Y),
-        identity_mass=fam_a.identity_mass - fam_b.identity_mass,
+        fam_a.terms + tuple((-sign, term) for sign, term in fam_b.terms),
+        fam_a.identity_mass - fam_b.identity_mass,
     )
 
 
 def _family_bessel_piece(alpha: float, piece: str, mass: float) -> _KernelFamily:
-    return _KernelFamily(
-        key=f"bessel-piece{piece}:alpha={alpha:g}",
-        dt_kernel=lambda u, X, Y: dt_poisson_bessel_piece(piece, alpha, u, X, Y),
-        value_kernel=lambda u, X, Y: poisson_bessel_piece(piece, alpha, u, X, Y),
-        identity_mass=mass,
-    )
+    return _KernelFamily(((1, _Term(KernelSetting("bessel", alpha=alpha), piece)),), mass)
 
 
-# kernel tensors are expensive for the subordinated settings; reuse them
-# across local/global/partition calls on the same grid
+# kernel tensors are expensive for the subordinated settings; each term is
+# built once per grid and reused by every family and weight that holds it
 _tensor_cache: dict = {}
 
 
@@ -311,27 +303,55 @@ def reset_kernel_cache():
     _tensor_cache.clear()
 
 
-def _grid_key(grid: SpaceTimeGrid) -> tuple:
-    s = grid.space.nodes
-    return (grid.time.n, round(grid.dt, 15), s.size, round(float(s[0]), 15), round(float(s[-1]), 15))
-
-
-def _kernel_tensors(family: _KernelFamily, grid: SpaceTimeGrid, m0: int):
-    """Stack of dt kernels at lags m0..n_time-1 plus the value kernel at delta."""
-    key = (family.key, _grid_key(grid), m0)
+def _kernel_tensors(term: _Term, grid: SpaceTimeGrid, m0: int):
+    """Stack of one term's dt kernels at lags m0..n_time-1 plus its value
+    kernel at delta, cached on the term and the grid's nodes (read-only)."""
+    key = (term, m0, grid.time.nodes.tobytes(), grid.space.nodes.tobytes())
     hit = _tensor_cache.get(key)
     if hit is not None:
         return hit
     x = grid.space.nodes
-    X, Y = x[:, None], x[None, :]
-    dt = grid.dt
-    nt = grid.time.n
-    stack = np.empty((max(nt - m0, 0), x.size, x.size))
-    for j in range(stack.shape[0]):
-        stack[j] = family.dt_kernel((m0 + j) * dt, X, Y)
-    delta = (m0 - 0.5) * dt
-    q = family.value_kernel(delta, X, Y)
+    X, Y = x[:, None], (-x if term.reflected else x)[None, :]
+    lags = np.arange(m0, grid.time.n) * grid.dt
+    delta = (m0 - 0.5) * grid.dt
+    if term.piece is None:
+        stack = dt_poisson_kernel_grid(term.setting, lags, X, Y)
+        q = poisson_kernel_grid(term.setting, delta, X, Y)
+    else:
+        alpha = term.setting.alpha
+        stack = np.empty((lags.size, x.size, x.size))
+        for j, u in enumerate(lags):
+            stack[j] = dt_poisson_bessel_piece(term.piece, alpha, u, X, Y)
+        q = poisson_bessel_piece(term.piece, alpha, delta, X, Y)
+    stack.flags.writeable = False
+    q.flags.writeable = False
     _tensor_cache[key] = (stack, q)
+    return stack, q
+
+
+def _family_tensors(family: _KernelFamily, grid: SpaceTimeGrid, m0: int, weight):
+    """The family's signed term sum, times the (x, y) weight if one is given.
+
+    Works in place on one fresh copy, so a difference family costs one
+    stack-sized array beyond the cached terms; an unweighted single term is
+    the cached tensors themselves.
+    """
+    (sign, term), *rest = family.terms
+    stack, q = _kernel_tensors(term, grid, m0)
+    if sign == 1 and not rest and weight is None:
+        return stack, q
+    stack, q = sign * stack, sign * q
+    for sign, term in rest:
+        s, v = _kernel_tensors(term, grid, m0)
+        if sign == 1:
+            stack += s
+            q += v
+        else:
+            stack -= s
+            q -= v
+    if weight is not None:
+        stack *= weight
+        q *= weight
     return stack, q
 
 
@@ -346,15 +366,13 @@ def _weighted_apply(
     nt = f.n_time
     if not 1 <= delta_steps < nt:
         raise DomainError("delta_steps must satisfy 1 <= delta_steps < n_time")
+    steps = np.diff(f.grid.time.nodes)
+    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        raise DomainError("operators need a uniform time grid: kernel lags are multiples of dt")
     dt = f.grid.dt
     wy = f.grid.space.cell_widths()
-    stack, q = _kernel_tensors(family, f.grid, delta_steps)
-    if weight is not None:
-        stack = stack * weight[None, :, :]
-        q = q * weight
-        diag = np.diag(weight)
-    else:
-        diag = np.ones(f.n_space)
+    stack, q = _family_tensors(family, f.grid, delta_steps, weight)
+    diag = np.ones(f.n_space) if weight is None else np.diag(weight)
     out = np.zeros_like(f.values)
     vals = f.values * wy[None, :, None]
     for j in range(stack.shape[0]):

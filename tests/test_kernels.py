@@ -189,8 +189,9 @@ def test_piece_rejects_unknown():
 
 
 # values of the angular (Bessel) and subordinated (oscillator) kernels at
-# alpha = 1.5, t = 0.37, x = 1.3, y = 0.8, recorded from the per-piece
-# quadrature code these functions replaced
+# alpha = 1.5, t = 0.37, x = 1.3, y = 0.8: the angular ones recorded from
+# the per-piece quadrature code these functions replaced, the subordinated
+# ones from the log-u rule
 FROZEN_ANGULAR = {
     None: (0.2334497272059721, 0.09241031050236055),
     "1": (0.21734548381667926, 0.058624058355302086),
@@ -199,8 +200,15 @@ FROZEN_ANGULAR = {
     "13": (-0.05782004967883888, -0.1383705218411628),
 }
 FROZEN_SUBORDINATED = {
-    "hermite": (0.20338316881115032, 0.27010386728996477),
-    "laguerre": (0.1753158452961264, 0.20955499493859622),
+    "hermite": (0.20338312205254866, 0.2701037382719105),
+    "laguerre": (0.17531583623544766, 0.20955496864955547),
+}
+# the same point by mpmath at 30 digits: tanh-sinh quadrature in u of the
+# subordination integral of the closed-form heat kernels, breaks at 0,
+# 10^-8, ..., 10^3 and infinity, error estimates below 1e-35
+MPMATH_SUBORDINATED = {
+    "hermite": (0.20338312207287335, 0.2701037403900519),
+    "laguerre": (0.17531583624299882, 0.2095549707423254),
 }
 
 
@@ -218,6 +226,14 @@ def test_kernel_frozen_values():
         value, dt = FROZEN_SUBORDINATED[setting.variant]
         assert float(kn.poisson_kernel_grid(setting, t, x, y)) == pytest.approx(value, rel=1e-13)
         assert float(kn.dt_poisson_kernel_grid(setting, t, x, y)) == pytest.approx(dt, rel=1e-13)
+
+
+def test_subordinated_kernels_match_mpmath():
+    a, t, x, y = 1.5, 0.37, 1.3, 0.8
+    for setting in (kn.hermite(), kn.laguerre(a)):
+        value, dt = MPMATH_SUBORDINATED[setting.variant]
+        assert float(kn.poisson_kernel_grid(setting, t, x, y)) == pytest.approx(value, rel=3e-8)
+        assert float(kn.dt_poisson_kernel_grid(setting, t, x, y)) == pytest.approx(dt, rel=3e-8)
 
 
 def test_dt_poisson_bessel_matches_difference_quotient():
@@ -309,6 +325,12 @@ def test_heat_laguerre_extreme_arguments_finite():
     assert float(kn.heat_laguerre(0.9, 800.0, 1.0, 2.0)) >= 0.0
 
 
+def test_heat_laguerre_underflowing_cross_argument():
+    # xi = x y / sinh t = 1e-200 / sinh(300) underflows; mpmath at 30 digits
+    v = float(kn.heat_laguerre(0.6, 300.0, 1e-100, 1e-100))
+    assert v == pytest.approx(1.0127687531313416e-263, rel=1e-12, abs=0.0)
+
+
 def test_heat_laguerre_gaussian_envelope_stable():
     # kernel bounded by C e^{-|x-y|^2/(8t)} / sqrt(t); the empirical C must
     # not grow under grid refinement
@@ -356,6 +378,23 @@ def test_subordinated_hermite_matches_poisson_series():
             pg = float(kn.poisson_kernel_grid(kn.hermite(), t, x, y))
             worst = max(worst, abs(sv.value - pg))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("setting", [kn.classical(), kn.bessel(1.5), kn.hermite(), kn.laguerre(1.5)])
+def test_kernel_grid_stacks_one_kernel_per_time(setting):
+    x = np.linspace(0.1, 3.0, 7)
+    X, Y = x[:, None], x[None, :]
+    times = np.array([0.2, 0.55, 1.9])
+    for fn in (kn.poisson_kernel_grid, kn.dt_poisson_kernel_grid):
+        stack = fn(setting, times, X, Y)
+        assert stack.shape == (3, 7, 7)
+        for row, t in zip(stack, times):
+            one = fn(setting, t, X, Y)
+            assert one.shape == (7, 7)
+            assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+        for bad in (np.array([[0.2, 0.5]]), np.array([]), np.array([0.2, 0.0])):
+            with pytest.raises(DomainError):
+                fn(setting, bad, X, Y)
 
 
 def test_dt_poisson_grid_matches_difference_quotient():

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semireg.errors import DomainError
-from semireg.kernels import KernelSetting
+from semireg.kernels import KernelSetting, dt_poisson_kernel_grid, poisson_kernel_grid
 from semireg.operators import (
+    _kernel_tensors,
+    _Term,
     EstimateRecord,
     SampledField,
     apply_difference_local,
@@ -35,6 +37,7 @@ from semireg.operators import (
     maximal_P_star,
     maximal_W_star,
     operator_norm_estimate,
+    reset_kernel_cache,
     smooth_test_field,
     sqrt_kernel_N,
     time_derivative,
@@ -53,6 +56,12 @@ def half_grid(nt=48, nx=64, horizon=4.0, width=6.0):
 
 def line_grid(nt=24, n_half=48, horizon=4.0, half_width=8.0):
     return SpaceTimeGrid.uniform(horizon, nt, Grid1D.symmetric(half_width, n_half))
+
+
+def _hann_field(grid):
+    """Field that vanishes on the first and last node of both axes, on any grid."""
+    nt, nx = grid.shape
+    return SampledField(grid, np.outer(np.hanning(nt), np.hanning(nx)), time_margin=1, space_margin=1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +229,40 @@ class TestApplyK:
         scale = np.max(np.abs(k2.values))
         assert np.max(np.abs(k2.values - k3.values)) <= 1e-2 * scale
         assert np.max(np.abs(k2.values - k4.values)) <= 2.5e-2 * scale
+
+    @pytest.mark.parametrize("setting", [HERMITE, LAGUERRE])
+    def test_tensor_rows_equal_single_time_kernels(self, setting):
+        grid = half_grid()
+        stack, q = _kernel_tensors(_Term(setting), grid, 2)
+        x = grid.space.nodes
+        X, Y = x[:, None], x[None, :]
+        for row, lag in zip(stack, np.arange(2, grid.time.n) * grid.dt):
+            one = dt_poisson_kernel_grid(setting, lag, X, Y)
+            assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+        one = poisson_kernel_grid(setting, 1.5 * grid.dt, X, Y)
+        assert np.max(np.abs(q - one)) <= 1e-14 * np.max(np.abs(one))
+
+    def test_tensor_cache_tells_grids_with_equal_ends_apart(self):
+        uniform = half_grid(nt=12, nx=16, horizon=1.0)
+        s = uniform.space.nodes
+        # same size and end nodes, graded in between
+        r = (s - s[0]) / (s[-1] - s[0])
+        graded_space = Grid1D(s[0] + (s[-1] - s[0]) * r * r, domain="half-line", spacing="graded")
+        graded = SpaceTimeGrid(time=uniform.time, space=graded_space, horizon=uniform.horizon)
+        apply_K(BESSEL, smooth_test_field(uniform))
+        f = _hann_field(graded)
+        cached = apply_K(BESSEL, f).values
+        reset_kernel_cache()
+        fresh = apply_K(BESSEL, f).values
+        assert np.array_equal(cached, fresh)
+
+    def test_graded_time_grid_rejected(self):
+        t = np.linspace(0.0, 1.0, 10)[1:-1] ** 1.5
+        space = Grid1D.uniform(0.0, 3.0, 12, domain="half-line")
+        grid = SpaceTimeGrid(time=Grid1D(t, domain="interval", spacing="graded"), space=space, horizon=1.0)
+        f = _hann_field(grid)
+        with pytest.raises(DomainError):
+            apply_K(BESSEL, f)
 
     def test_margin_gate(self):
         grid = half_grid(nt=8, nx=12, horizon=1.0)
