@@ -6,8 +6,14 @@ exact classical companion), the Bessel-type operator on the half-line, the
 harmonic oscillator on the line, and the Laguerre-type oscillator on the
 half-line.
 
-Classical Poisson kernels are closed forms and Bessel ones angular
-integrals.  The oscillator Poisson kernels are Bochner subordinations of
+Every Poisson kernel function takes a time or a 1-D array of times; an
+array gives one kernel per time along a new leading (lag) axis.
+
+Classical Poisson kernels are closed forms, broadcast over the lag axis.
+Bessel ones are angular integrals: the angle-dependent base of the
+denominator, (x-y)^2 + 2xy(1 - cos th) or a split piece's, is built once
+per call, and each time only adds its t^2 before the power and the node
+contraction.  The oscillator Poisson kernels are Bochner subordinations of
 their closed-form heat kernels,
 
     P_t = int_0^inf t u^{-3/2} e^{-t^2/4u} / (2 sqrt(pi)) W_u du,
@@ -16,7 +22,8 @@ computed on a fixed log-u rule: 4-point Gauss-Legendre panels in log u on a
 lattice of 4 panels per decade, from the panel that holds min(t)^2/160 up
 to u = 10^2.5.  Each heat kernel W_u is evaluated once per node and shared
 by every requested time, so a whole stack of times costs one pass over the
-nodes.
+nodes.  Times where the rule's estimated error is too large get a denser
+lattice, or DomainError.
 
 Time derivatives of Poisson kernels are always analytic expressions
 (differentiation happens under the integral sign), never numerical
@@ -77,6 +84,10 @@ _PANELS_PER_DECADE = 4
 _PANEL_NODES = 4
 _U_LOW = 1.0 / 160.0
 _U_HIGH_DECADE = 2.5
+# relative error the rule must reach on the heat kernel's ground mode, and
+# how often a time may double the panels per decade to reach it
+_SUBORDINATION_TOL = 1e-6
+_MAX_REFINEMENTS = 3
 
 
 @dataclass(frozen=True)
@@ -201,52 +212,76 @@ def _bessel_sums(piece: str, alpha: float, t, x, y):
 
     The algebraic endpoint weight th^{2a-1} is carried by a Gauss-Jacobi
     rule; the remaining factor is smooth.
+
+    t is a time or a 1-D array of times; an array gives J1 and J2 per time
+    along a new leading axis.  The time-free base of D, B = D - t^2 (for
+    "13", D - t^2 tau^2), is built once per call and angle set.  Each time
+    adds its t^2 into a preallocated buffer, takes the power in place and
+    contracts the nodes with one matrix-vector product, so at most three
+    (node x grid) arrays are held at once, however many times are asked.
     """
+    _check_times(t, "bessel kernel")
     _check_halfline(alpha, t, x, y)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    grid = np.broadcast(x, y).shape
     n = THETA_NODES
-    shape = (n,) + (1,) * np.ndim(x * y)
-    a = (x - y) ** 2 + t * t
+    col = (n,) + (1,) * len(grid)
+    xy = x * y
+    d2 = (x - y) ** 2
+    # each base is lhs * factor + addend, with factor on the node axis
     if piece == "13":
         tau, w = gauss_legendre_rule(0.0, 2.0 / math.pi, n)
-        tau, w = tau.reshape(shape), w.reshape(shape)
         sign, w1, w2 = -1.0, w * tau, w * tau ** 3
-        dens = (a * tau * tau + x * y,)
+        scale = (tau * tau).reshape(col)
+        bases = ((d2, scale, xy),)
     else:
         beta = 2.0 * alpha - 1.0
         th, w = gauss_jacobi_rule(beta, math.pi / 2.0, n)
-        th, w = th.reshape(shape), w.reshape(shape)
         if piece in ("full", "1"):
             w = w * (np.sin(th) / th) ** beta
         sign, w1, w2 = 1.0, w, w
+        th = th.reshape(col)
+        scale = 1.0
         if piece == "12":
-            dens = (a + x * y * th * th,)
+            bases = ((xy, th * th, d2),)
         else:
             angles = (th, math.pi - th) if piece == "full" else (th,)
-            # a generator: each denominator has shape (n,) + grid shape,
-            # so only one is held at a time
-            dens = (a + 2.0 * x * y * (1.0 - np.cos(angle)) for angle in angles)
+            bases = tuple((xy, 2.0 * (1.0 - np.cos(angle)), d2) for angle in angles)
     p = alpha + 1.0
-    j1 = 0.0
-    j2 = 0.0
-    for d in dens:
-        # one power per node: D^{-(a+2)} is D^{-(a+1)} / D, formed in place
-        power = d ** (-p)
-        j1 = j1 + np.sum(w1 * power, axis=0)
-        power /= d
-        j2 = j2 + np.sum(w2 * power, axis=0)
-        del power  # freed before the generator forms the next D
-    return sign, j1, j2
+    j1 = np.zeros((times.size, math.prod(grid)))
+    j2 = np.zeros_like(j1)
+    d = np.empty(col[:1] + grid)
+    power = np.empty_like(d)
+    for lhs, factor, addend in bases:
+        base = lhs * factor
+        base += addend
+        for k, s in enumerate(times):
+            np.add(base, s * s * scale, out=d)
+            # one power per node: D^{-(a+2)} is D^{-(a+1)} / D
+            np.power(d, -p, out=power)
+            j1[k] += w1 @ power.reshape(n, -1)
+            power /= d
+            j2[k] += w2 @ power.reshape(n, -1)
+        del base  # freed before the next angle set's base is formed
+    j1 = j1.reshape(times.shape + grid)
+    j2 = j2.reshape(times.shape + grid)
+    return (sign, j1, j2) if np.ndim(t) else (sign, j1[0], j2[0])
 
 
-def _bessel_value(piece: str, alpha: float, t, x, y):
-    sign, j1, _ = _bessel_sums(piece, alpha, t, x, y)
-    return sign * (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha * t * j1
+def _lead(t, ndim: int):
+    """t with ndim trailing unit axes, so that a 1-D t spans a leading time axis."""
+    return np.reshape(t, np.shape(t) + (1,) * ndim)
 
 
-def _bessel_dt(piece: str, alpha: float, t, x, y):
+def _bessel_kernel(piece: str, alpha: float, t, x, y, dt: bool):
     sign, j1, j2 = _bessel_sums(piece, alpha, t, x, y)
+    t = _lead(t, np.ndim(j1) - np.ndim(t))
     pref = sign * (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha
-    return pref * (j1 - 2.0 * (alpha + 1.0) * t * t * j2)
+    if dt:
+        return pref * (j1 - 2.0 * (alpha + 1.0) * t * t * j2)
+    return pref * t * j1
 
 
 def _piece_label(piece) -> str:
@@ -257,13 +292,17 @@ def _piece_label(piece) -> str:
 
 
 def poisson_bessel(alpha: float, t, x, y):
-    """Poisson kernel of the Bessel-type operator via its angular integral."""
-    return _bessel_value("full", alpha, t, x, y)
+    """Poisson kernel of the Bessel-type operator via its angular integral.
+
+    t is a time or a 1-D array of times, as for poisson_kernel_grid; so for
+    the three functions below.
+    """
+    return _bessel_kernel("full", alpha, t, x, y, dt=False)
 
 
 def dt_poisson_bessel(alpha: float, t, x, y):
     """Analytic time derivative of the Bessel Poisson kernel."""
-    return _bessel_dt("full", alpha, t, x, y)
+    return _bessel_kernel("full", alpha, t, x, y, dt=True)
 
 
 def poisson_bessel_piece(piece, alpha: float, t, x, y):
@@ -275,12 +314,12 @@ def poisson_bessel_piece(piece, alpha: float, t, x, y):
     "13" the (negative) remainder integral over theta in (pi/2, infinity)
          that restores the classical kernel: piece "12" = classical + "13".
     """
-    return _bessel_value(_piece_label(piece), alpha, t, x, y)
+    return _bessel_kernel(_piece_label(piece), alpha, t, x, y, dt=False)
 
 
 def dt_poisson_bessel_piece(piece, alpha: float, t, x, y):
     """Analytic time derivative of a split piece."""
-    return _bessel_dt(_piece_label(piece), alpha, t, x, y)
+    return _bessel_kernel(_piece_label(piece), alpha, t, x, y, dt=True)
 
 
 def heat_bessel(alpha: float, t, x, y):
@@ -381,43 +420,86 @@ def poisson_via_subordination(
     return integrate_subordination(g, t, rule=rule)
 
 
-def _log_u_rule(t_min: float):
-    """Nodes u and weights du of the log-u panel rule serving every t >= t_min.
+def _log_u_rule(t_min: float, level: int = 0):
+    """Nodes u and weights du of the log-u panel rule serving every t >= t_min,
+    with 2^level times the base number of panels per decade.
 
     Panel edges sit on a fixed lattice, so a node's position and weight do
     not depend on t_min; a smaller t_min only adds panels at the low end.
     """
-    first = math.floor(_PANELS_PER_DECADE * math.log10(t_min * t_min * _U_LOW))
-    last = round(_PANELS_PER_DECADE * _U_HIGH_DECADE)
+    per_decade = _PANELS_PER_DECADE << level
+    first = math.floor(per_decade * math.log10(t_min * t_min * _U_LOW))
+    last = round(per_decade * _U_HIGH_DECADE)
     s, w = gauss_legendre_rule(0.0, 1.0, _PANEL_NODES)
-    width = math.log(10.0) / _PANELS_PER_DECADE
+    width = math.log(10.0) / per_decade
     u = np.exp(((np.arange(first, last)[:, None] + s[None, :]) * width).ravel())
     return u, u * np.tile(width * w, max(last - first, 0))
 
 
-def _subordinate(setting: KernelSetting, t, x, y, dt: bool):
-    """P_t (or d/dt P_t) of an oscillator setting for a time or a 1-D array of times.
+def _subordination_rules(setting: KernelSetting, times, dt):
+    """Blocks (rows, u, weights) of log-u rules covering every row (time, dt).
 
-    Each heat kernel W_u is evaluated once per node of the log-u rule and
-    contracted with the (time x node) weight matrix
+    The rule's relative error is estimated on the heat kernel's ground mode
+    e^{-lambda0 u}, whose subordination is exactly e^{-t sqrt(lambda0)}
+    (times -sqrt(lambda0) for d/dt).  From t = 6 on this is within a factor
+    2.5 of the normwise kernel error (Hermite, Laguerre alpha = 0.5, 1.5, 6
+    on a 40 x 40 grid, against 32 panels per decade); below, where errors
+    are small, it can undercount 30-fold.  A row over _SUBORDINATION_TOL
+    moves to a lattice with twice the panels per decade, and past
+    _MAX_REFINEMENTS doublings raises DomainError: Laguerre (alpha = 1.5)
+    refines from t = 6.25 and raises past t ~ 27, where the mode's mass has
+    slid below the first panel, min(t)^2/160.
+    """
+    lam0 = 0.5 if setting.variant == "hermite" else setting.alpha + 0.5
+    root = math.sqrt(lam0)
+    exact = np.exp(-root * times) * np.where(dt, -root, 1.0)
+    rows = np.arange(times.size)
+    blocks = []
+    for level in range(_MAX_REFINEMENTS + 1):
+        u, du = _log_u_rule(float(np.min(times[rows])), level)
+        tt = times[rows, None]
+        weights = np.exp(-tt * tt / (4.0 * u)) * u ** -1.5 * du / (2.0 * math.sqrt(math.pi))
+        weights = weights * np.where(dt[rows, None], 1.0 - tt * tt / (2.0 * u), tt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            err = np.abs(weights @ np.exp(-lam0 * u) - exact[rows]) / np.abs(exact[rows])
+        ok = err <= _SUBORDINATION_TOL
+        if ok.any():
+            blocks.append((rows[ok], u, weights[ok]))
+        rows = rows[~ok]
+        if rows.size == 0:
+            return blocks
+    raise DomainError(
+        f"log-u subordination rule for {setting.describe()} misses relative error "
+        f"{_SUBORDINATION_TOL:g} at t = {float(np.max(times[rows])):g}"
+    )
+
+
+def _subordinate(setting: KernelSetting, t, dt, x, y):
+    """Kernels of an oscillator setting at a time, or one per row (time, dt)
+    of a 1-D t along a leading axis: P_t, or d/dt P_t where dt is true.
+
+    Each heat kernel W_u is evaluated once per node of the log-u rules and
+    contracted with the (row x node) weight matrix
 
         value: t u^{-3/2} e^{-t^2/4u} / (2 sqrt(pi)) du,
-        dt:    (1 - t^2/2u) u^{-3/2} e^{-t^2/4u} / (2 sqrt(pi)) du.
+        dt:    (1 - t^2/2u) u^{-3/2} e^{-t^2/4u} / (2 sqrt(pi)) du,
 
-    The integrand's peak in log u narrows like t^{-1/2}, so the rule is
-    accurate for the times the operators use: against a 96-node rule in
-    w = t/(2 sqrt(u)) on a 40 x 40 grid, Laguerre (alpha = 1.5) kernels
-    differ by at most 1.4e-7 normwise for t <= 4, 9e-7 at t = 6 and 2e-5
-    at t = 10.
+    so value and dt rows share one pass over the nodes.  Panel edges are
+    fixed, so a row's value depends on the other rows in the call only
+    through the negligible low-end panels a smaller time adds.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    u, du = _log_u_rule(float(np.min(times)))
-    tt = times[:, None]
-    weights = np.exp(-tt * tt / (4.0 * u)) * u ** -1.5 * du / (2.0 * math.sqrt(math.pi))
-    weights = weights * ((1.0 - tt * tt / (2.0 * u)) if dt else tt)
+    dt = np.broadcast_to(dt, times.shape)
+    blocks = _subordination_rules(setting, times, dt)
+    u = np.concatenate([block[1] for block in blocks])
+    weights = np.zeros((times.size, u.size))
+    col = 0
+    for rows, uu, w in blocks:
+        weights[rows, col:col + uu.size] = w
+        col += uu.size
     shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
     out = np.zeros((times.size, math.prod(shape)))
-    # one decade of nodes at a time bounds the heat-kernel block's memory
+    # one decade of base nodes at a time bounds the heat-kernel block's memory
     step = _PANELS_PER_DECADE * _PANEL_NODES
     heat = np.empty((step,) + shape)
     for lo in range(0, u.size, step):
@@ -437,19 +519,6 @@ def _check_times(t, label: str):
         raise DomainError(f"{label} requires t > 0")
 
 
-def _per_time(kernel, t):
-    """kernel(t), or for a 1-D t the kernels at its times along a new leading axis."""
-    if np.ndim(t) == 0:
-        return kernel(t)
-    out = None
-    for j, s in enumerate(t):
-        k = kernel(s)
-        if out is None:
-            out = np.empty((len(t),) + np.shape(k))
-        out[j] = k
-    return out
-
-
 def poisson_kernel_grid(setting: KernelSetting, t, x, y):
     """Poisson kernel on broadcastable argument arrays.
 
@@ -462,10 +531,10 @@ def poisson_kernel_grid(setting: KernelSetting, t, x, y):
     _check_times(t, "poisson kernel")
     if setting.variant == "classical":
         z = np.asarray(x) - np.asarray(y)
-        return _per_time(lambda s: poisson_classical(s, z, diffusion=setting.diffusion), t)
+        return poisson_classical(_lead(t, z.ndim), z, diffusion=setting.diffusion)
     if setting.variant == "bessel":
-        return _per_time(lambda s: poisson_bessel(setting.alpha, s, x, y), t)
-    return _subordinate(setting, t, x, y, dt=False)
+        return poisson_bessel(setting.alpha, t, x, y)
+    return _subordinate(setting, t, dt=False, x=x, y=y)
 
 
 def dt_poisson_kernel_grid(setting: KernelSetting, t, x, y):
@@ -478,10 +547,10 @@ def dt_poisson_kernel_grid(setting: KernelSetting, t, x, y):
     _check_times(t, "dt poisson kernel")
     if setting.variant == "classical":
         z = np.asarray(x) - np.asarray(y)
-        return _per_time(lambda s: dt_poisson_classical(s, z, diffusion=setting.diffusion), t)
+        return dt_poisson_classical(_lead(t, z.ndim), z, diffusion=setting.diffusion)
     if setting.variant == "bessel":
-        return _per_time(lambda s: dt_poisson_bessel(setting.alpha, s, x, y), t)
-    return _subordinate(setting, t, x, y, dt=True)
+        return dt_poisson_bessel(setting.alpha, t, x, y)
+    return _subordinate(setting, t, dt=True, x=x, y=y)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .kernels import (
     poisson_bessel_piece,
     poisson_classical,
     poisson_kernel_grid,
+    _subordinate,
 )
 from .quad import Grid1D, SpaceTimeGrid, gauss_legendre_rule
 
@@ -218,7 +219,11 @@ def smooth_test_field(grid: SpaceTimeGrid, fiber_dim: int = 1, mode: int = 0) ->
         osc = np.cos((mode + j) * math.pi * (x - lo) / width + 0.3 * j)
         values[:, :, j] = tw[:, None] * (xw * osc)[None, :]
     t_margin = int(np.searchsorted(t, 0.1 * grid.horizon))
-    x_margin = int(np.searchsorted(x, lo))
+    # the field vanishes outside (lo, hi); a half-line grid's margin is only
+    # checked at its outer edge, a line grid's at both
+    leading = int(np.searchsorted(x, lo))
+    trailing = x.size - int(np.searchsorted(x, hi, side="right"))
+    x_margin = trailing if grid.space.domain == "half-line" else min(leading, trailing)
     return SampledField(grid, values, time_margin=t_margin, space_margin=x_margin)
 
 
@@ -305,24 +310,39 @@ def reset_kernel_cache():
 
 def _kernel_tensors(term: _Term, grid: SpaceTimeGrid, m0: int):
     """Stack of one term's dt kernels at lags m0..n_time-1 plus its value
-    kernel at delta, cached on the term and the grid's nodes (read-only)."""
+    kernel at delta, cached on the term and the grid's nodes (read-only).
+
+    Each stack is one kernel call over all lags (one log-u pass for both
+    stack and value kernel of an oscillator term).  The call is evaluated
+    only on the node pairs (x_i, x_j), i <= j, read at -x_j when reflected,
+    and mirrored: x and y come from the same node vector, and every term is
+    symmetric under x <-> y, the reflected classical and Hermite kernels
+    too, as they depend on x and y only through (x+y)^2 and (x-y)^2.
+    """
     key = (term, m0, grid.time.nodes.tobytes(), grid.space.nodes.tobytes())
     hit = _tensor_cache.get(key)
     if hit is not None:
         return hit
     x = grid.space.nodes
-    X, Y = x[:, None], (-x if term.reflected else x)[None, :]
+    i, j = np.triu_indices(x.size)
+    X, Y = x[i], (-x if term.reflected else x)[j]
     lags = np.arange(m0, grid.time.n) * grid.dt
     delta = (m0 - 0.5) * grid.dt
-    if term.piece is None:
-        stack = dt_poisson_kernel_grid(term.setting, lags, X, Y)
-        q = poisson_kernel_grid(term.setting, delta, X, Y)
+    setting, piece = term.setting, term.piece
+    if piece is not None:
+        half = dt_poisson_bessel_piece(piece, setting.alpha, lags, X, Y)
+        q_half = poisson_bessel_piece(piece, setting.alpha, delta, X, Y)
+    elif setting.variant in ("hermite", "laguerre"):
+        rows = _subordinate(setting, np.append(lags, delta),
+                            np.append(np.ones(lags.size, bool), False), X, Y)
+        half, q_half = rows[:-1], rows[-1]
     else:
-        alpha = term.setting.alpha
-        stack = np.empty((lags.size, x.size, x.size))
-        for j, u in enumerate(lags):
-            stack[j] = dt_poisson_bessel_piece(term.piece, alpha, u, X, Y)
-        q = poisson_bessel_piece(term.piece, alpha, delta, X, Y)
+        half = dt_poisson_kernel_grid(setting, lags, X, Y)
+        q_half = poisson_kernel_grid(setting, delta, X, Y)
+    stack = np.empty((lags.size, x.size, x.size))
+    q = np.empty((x.size, x.size))
+    stack[:, i, j] = stack[:, j, i] = half
+    q[i, j] = q[j, i] = q_half
     stack.flags.writeable = False
     q.flags.writeable = False
     _tensor_cache[key] = (stack, q)

@@ -397,6 +397,58 @@ def test_kernel_grid_stacks_one_kernel_per_time(setting):
                 fn(setting, bad, X, Y)
 
 
+@pytest.mark.parametrize("piece", [None, "1", "11", "12", "13"])
+def test_bessel_functions_stack_one_kernel_per_time(piece):
+    if piece is None:
+        fns = (kn.poisson_bessel, kn.dt_poisson_bessel)
+    else:
+        fns = (lambda a, t, x, y: kn.poisson_bessel_piece(piece, a, t, x, y),
+               lambda a, t, x, y: kn.dt_poisson_bessel_piece(piece, a, t, x, y))
+    a = 1.5
+    x = np.linspace(0.1, 3.0, 7)
+    times = np.array([0.2, 0.55, 1.9])
+    # a full grid, and node pairs along one axis as the tensor build passes them
+    for X, Y in ((x[:, None], x[None, :]), (x, x[::-1])):
+        for fn in fns:
+            stack = fn(a, times, X, Y)
+            assert stack.shape == (3,) + np.broadcast(X, Y).shape
+            for row, t in zip(stack, times):
+                one = fn(a, t, X, Y)
+                assert one.shape == row.shape
+                assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+            for bad in (np.array([[0.2, 0.5]]), np.array([]), np.array([0.2, -1.0])):
+                with pytest.raises(DomainError):
+                    fn(a, bad, X, Y)
+
+
+# Laguerre (alpha = 1.5) at x = 1, y = 1.2 by mpmath at 30 digits, as for
+# MPMATH_SUBORDINATED: t = 10 needs a refined log-u lattice (the base one is
+# off by 2e-5 there); at t = 300 the base lattice has no panel left
+MPMATH_LAGUERRE_T10 = (5.6034798636581735e-07, -7.927132822903831e-07)
+
+
+def test_subordination_refines_or_raises_at_large_times():
+    lag = kn.laguerre(1.5)
+    value, dt = MPMATH_LAGUERRE_T10
+    assert float(kn.poisson_kernel_grid(lag, 10.0, 1.0, 1.2)) == pytest.approx(value, rel=1e-9)
+    assert float(kn.dt_poisson_kernel_grid(lag, 10.0, 1.0, 1.2)) == pytest.approx(dt, rel=1e-9)
+    # a refined row does not change the base-lattice rows that share its call
+    x = np.linspace(0.2, 3.0, 5)
+    X, Y = x[:, None], x[None, :]
+    times = np.array([0.37, 10.0])
+    for fn in (kn.poisson_kernel_grid, kn.dt_poisson_kernel_grid):
+        stack = fn(lag, times, X, Y)
+        for row, t in zip(stack, times):
+            one = fn(lag, t, X, Y)
+            assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
+    for setting in (lag, kn.hermite()):
+        for fn in (kn.poisson_kernel_grid, kn.dt_poisson_kernel_grid):
+            with pytest.raises(DomainError):
+                fn(setting, 300.0, 1.0, 1.2)
+            with pytest.raises(DomainError):
+                fn(setting, np.array([0.5, 300.0]), X, Y)
+
+
 def test_dt_poisson_grid_matches_difference_quotient():
     # 4th-order stencil with a wide step: keeps the quadrature noise of the
     # kernel evaluations from being amplified by 1/h

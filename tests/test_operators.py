@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semireg.errors import DomainError
-from semireg.kernels import KernelSetting, dt_poisson_kernel_grid, poisson_kernel_grid
+from semireg.kernels import (
+    KernelSetting,
+    dt_poisson_bessel_piece,
+    dt_poisson_kernel_grid,
+    poisson_bessel_piece,
+    poisson_kernel_grid,
+)
 from semireg.operators import (
     _kernel_tensors,
     _Term,
@@ -95,6 +101,20 @@ class TestSampledField:
         vals[:, -2:] = 0.0
         f = SampledField(grid, vals, space_margin=2)
         assert f.space_margin == 2
+
+    @pytest.mark.parametrize("space", [Grid1D.uniform(0.0, 6.0, 16, domain="half-line"),
+                                       Grid1D.symmetric(8.0, 8)], ids=["half-line", "line"])
+    def test_smooth_test_field_on_graded_space_grid(self, space):
+        s = space.nodes
+        r = (s - s[0]) / (s[-1] - s[0])
+        graded = Grid1D(s[0] + (s[-1] - s[0]) * r * r, domain=space.domain, spacing="graded")
+        f = smooth_test_field(SpaceTimeGrid.uniform(1.0, 12, graded), mode=1)
+        k = f.space_margin
+        assert k >= 1
+        assert np.all(f.values[:, -k:] == 0.0)
+        if space.domain != "half-line":
+            assert np.all(f.values[:, :k] == 0.0)
+        assert f.l2_norm() > 0.0
 
     def test_l2_norm_of_ones(self):
         grid = half_grid(nt=8, nx=12, horizon=1.0, width=3.0)
@@ -241,6 +261,31 @@ class TestApplyK:
             assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
         one = poisson_kernel_grid(setting, 1.5 * grid.dt, X, Y)
         assert np.max(np.abs(q - one)) <= 1e-14 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("term, on_line", [
+        (_Term(BESSEL), False),
+        *[(_Term(BESSEL, piece), False) for piece in ("1", "11", "12", "13")],
+        (_Term(CL, reflected=True), True),
+        (_Term(HERMITE, reflected=True), True),
+    ], ids=["bessel", "piece1", "piece11", "piece12", "piece13", "classical-reflected",
+            "hermite-reflected"])
+    def test_tensor_slices_are_symmetric_full_grid_kernels(self, term, on_line):
+        grid = line_grid(nt=12, n_half=16) if on_line else half_grid(nt=16, nx=24)
+        stack, q = _kernel_tensors(term, grid, 2)
+        x = grid.space.nodes
+        X, Y = x[:, None], (-x if term.reflected else x)[None, :]
+        a = BESSEL.alpha
+        if term.piece is None:
+            value = lambda t: poisson_kernel_grid(term.setting, t, X, Y)
+            dt = lambda t: dt_poisson_kernel_grid(term.setting, t, X, Y)
+        else:
+            value = lambda t: poisson_bessel_piece(term.piece, a, t, X, Y)
+            dt = lambda t: dt_poisson_bessel_piece(term.piece, a, t, X, Y)
+        pairs = list(zip(stack, map(dt, np.arange(2, grid.time.n) * grid.dt)))
+        pairs.append((q, value(1.5 * grid.dt)))
+        for got, one in pairs:
+            assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
+            assert np.array_equal(got, got.T)
 
     def test_tensor_cache_tells_grids_with_equal_ends_apart(self):
         uniform = half_grid(nt=12, nx=16, horizon=1.0)
