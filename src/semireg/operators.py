@@ -709,7 +709,8 @@ class EstimateRecord:
 
     The free constant is probed empirically as the supremum of LHS/RHS over
     admissible sample points; the record stores the default (u, x, y) box
-    and base resolution for that sweep.
+    and base resolution for that sweep.  lhs, rhs and region act elementwise
+    on a time u and 1-D arrays x, y; lhs and rhs see only admissible points.
     """
 
     identifier: str
@@ -759,6 +760,12 @@ def _xi(u, x, y):
     return x * y / np.sinh(u)
 
 
+def _d1d2(alpha, u, x, y):
+    """|dt piece 1 - dt piece 11| + |dt piece 11 - dt piece 12|, one call per piece."""
+    p1, p11, p12 = (dt_poisson_bessel_piece(p, alpha, u, x, y) for p in ("1", "11", "12"))
+    return np.abs(p1 - p11) + np.abs(p11 - p12)
+
+
 def estimate_catalog(alpha: float = 1.5) -> list:
     """Kernel estimates checked by the acceptance sweeps.
 
@@ -792,16 +799,7 @@ def estimate_catalog(alpha: float = 1.5) -> list:
         ),
         EstimateRecord(
             identifier="bessel-d1d2-log",
-            lhs=lambda u, x, y: (
-                np.abs(
-                    dt_poisson_bessel_piece("1", alpha, u, x, y)
-                    - dt_poisson_bessel_piece("11", alpha, u, x, y)
-                )
-                + np.abs(
-                    dt_poisson_bessel_piece("11", alpha, u, x, y)
-                    - dt_poisson_bessel_piece("12", alpha, u, x, y)
-                )
-            ),
+            lhs=lambda u, x, y: _d1d2(alpha, u, x, y),
             rhs=lambda u, x, y: (x * y) ** alpha
             / ((x - y) ** 2 + u * u + x * y) ** (alpha + 1.0)
             * (1.0 + np.maximum(np.log(x * y / ((x - y) ** 2 + u * u)), 0.0)),
@@ -911,6 +909,10 @@ def estimate_ratio_supremum(
     Sample grids nest (each level doubles the panel count of an inclusive
     linspace), so the per-level suprema are nondecreasing and their growth
     measures how close the coarse sup is to saturation.
+
+    Per time slice u, the record's region is called on 1-D arrays of the
+    slice's (x, y) sample points, and its lhs and rhs on 1-D arrays of the
+    admissible ones only; all three must be elementwise in (x, y).
     """
     box = record.box if box is None else box
     base = record.base_shape if base_shape is None else base_shape
@@ -929,18 +931,21 @@ def estimate_ratio_supremum(
             else:
                 axes.append(np.linspace(lo, hi, count))
         us, xs, ys = axes
-        X, Y = xs[:, None], ys[None, :]
+        # the slice's (x, y) points, flattened x-major
+        X, Y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
         sup = 0.0
         argmax = (math.nan, math.nan, math.nan)
         populated = False
-        # one time slice at a time keeps the angular-quadrature tensors small
+        # one time slice at a time, and only its admissible points, keeps
+        # the angular-quadrature arrays small
         for u in us:
-            mask = record.region(float(u), X, Y) & np.ones((xs.size, ys.size), dtype=bool)
+            mask = np.broadcast_to(record.region(float(u), X, Y), X.shape)
             if not mask.any():
                 continue
             populated = True
-            lhs = np.broadcast_to(np.asarray(record.lhs(float(u), X, Y), float), mask.shape)[mask]
-            rhs = np.broadcast_to(np.asarray(record.rhs(float(u), X, Y), float), mask.shape)[mask]
+            x, y = X[mask], Y[mask]
+            lhs = np.broadcast_to(np.asarray(record.lhs(float(u), x, y), float), x.shape)
+            rhs = np.broadcast_to(np.asarray(record.rhs(float(u), x, y), float), x.shape)
             if np.any(rhs < 0.0):
                 raise DomainError(f"record {record.identifier}: RHS negative on the region")
             # deep-tail Gaussians underflow to exact zero on both sides;
@@ -953,9 +958,7 @@ def estimate_ratio_supremum(
                 best = int(np.argmax(ratio))
                 if float(ratio[best]) > sup:
                     sup = float(ratio[best])
-                    xb = np.broadcast_to(X, mask.shape)[mask][live]
-                    yb = np.broadcast_to(Y, mask.shape)[mask][live]
-                    argmax = (float(u), float(xb[best]), float(yb[best]))
+                    argmax = (float(u), float(x[live][best]), float(y[live][best]))
         if not populated:
             raise DomainError(f"record {record.identifier}: empty region on the sampled box")
         levels_out.append(level)

@@ -7,6 +7,7 @@ grid rules are plain weighted sums so operator identities stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -232,19 +233,22 @@ def grid_integrate(values, grid: Grid1D) -> float:
 # Fixed nodes for kernel tensor assembly
 # ---------------------------------------------------------------------------
 
-_gl_cache: dict = {}
 _gj_cache: dict = {}
 
 
+@functools.cache
+def _legendre_reference(n: int):
+    """Read-only Gauss-Legendre nodes/weights on (-1, 1)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_rule(a: float, b: float, n: int):
-    """Gauss-Legendre nodes/weights on (a, b), cached."""
-    key = (round(a, 14), round(b, 14), n)
-    if key not in _gl_cache:
-        x, w = np.polynomial.legendre.leggauss(n)
-        nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-        weights = 0.5 * (b - a) * w
-        _gl_cache[key] = (nodes, weights)
-    return _gl_cache[key]
+    """Gauss-Legendre nodes/weights on (a, b): the cached (-1, 1) rule for n,
+    mapped affinely into fresh arrays."""
+    x, w = _legendre_reference(n)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 def gauss_jacobi_rule(beta: float, b: float, n: int):
@@ -261,5 +265,7 @@ def gauss_jacobi_rule(beta: float, b: float, n: int):
         # map (-1,1) with weight (1+x)^beta onto (0,b) with weight theta^beta
         theta = 0.5 * b * (x + 1.0)
         weights = w * (0.5 * b) ** (beta + 1.0)
+        # shared between callers, so read-only
+        theta.flags.writeable = weights.flags.writeable = False
         _gj_cache[key] = (theta, weights)
     return _gj_cache[key]

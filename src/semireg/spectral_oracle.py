@@ -151,6 +151,12 @@ def _frequency_panels(z_max: float, panel_len: float, nodes_per_panel: int = 16)
     return z, w
 
 
+def _hankel_matrix(nu: float, z, x):
+    """The (z x x) matrix sqrt(zx) J_nu(zx); its transpose is the x x z one."""
+    arg = np.multiply.outer(z, x)
+    return np.sqrt(arg) * bessel_j(nu, arg)
+
+
 def hankel_transform(nu: float, x_nodes, f_values, z_nodes):
     """Transform of sampled data: int sqrt(xz) J_nu(xz) f(x) dx at each z.
 
@@ -160,9 +166,7 @@ def hankel_transform(nu: float, x_nodes, f_values, z_nodes):
     x = np.asarray(x_nodes, dtype=float)
     z = np.asarray(z_nodes, dtype=float)
     f = np.asarray(f_values, dtype=float)
-    arg = np.multiply.outer(z, x)
-    kernel = np.sqrt(arg) * bessel_j(nu, arg)
-    return scipy.integrate.simpson(kernel * f[None, :], x=x, axis=1)
+    return scipy.integrate.simpson(_hankel_matrix(nu, z, x) * f[None, :], x=x, axis=1)
 
 
 def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
@@ -170,7 +174,8 @@ def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
     """Poisson semigroup applied to a sampled function via the Hankel route.
 
     Forward transform, multiplication by e^{-t z}, inverse transform (the
-    transform is its own inverse). t = 0 performs a pure round-trip.
+    transform is its own inverse, so one kernel matrix serves both ways).
+    t = 0 performs a pure round-trip.
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
@@ -182,11 +187,10 @@ def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
         z_max = 40.0
     panel = math.pi / (2.0 * (np.max(x) + 1.0))
     z, w = _frequency_panels(z_max, panel)
-    g = hankel_transform(nu, x, f_values, z)
-    g = g * np.exp(-t * z) * w
-    arg = np.multiply.outer(x, z)
-    kernel = np.sqrt(arg) * bessel_j(nu, arg)
-    return kernel @ g
+    kernel = _hankel_matrix(nu, z, x)
+    f = np.asarray(f_values, dtype=float)
+    g = scipy.integrate.simpson(kernel * f[None, :], x=x, axis=1)
+    return kernel.T @ (g * np.exp(-t * z) * w)
 
 
 def hankel_poisson_kernel_oracle(alpha: float, t: float, x: float, y: float,
@@ -297,8 +301,7 @@ def sqrt_generator_apply(setting: KernelSetting, grid: Grid1D, values,
         z_max = 40.0
         panel = math.pi / (2.0 * (np.max(x) + 1.0))
         z, wz = _frequency_panels(z_max, panel)
-        arg = np.multiply.outer(z, x)
-        kern = np.sqrt(arg) * bessel_j(nu, arg)
+        kern = _hankel_matrix(nu, z, x)
         coeff = np.tensordot(v * w, kern, axes=([-1], [1]))
         return np.tensordot(coeff * (z * wz), kern, axes=([-1], [0]))
     coeff = np.tensordot(v * w, table, axes=([-1], [1]))

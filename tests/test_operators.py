@@ -14,6 +14,7 @@ from semireg.kernels import (
     poisson_kernel_grid,
 )
 from semireg.operators import (
+    _d1d2,
     _kernel_tensors,
     _Term,
     EstimateRecord,
@@ -542,6 +543,80 @@ class TestEstimateCatalog:
         )
         with pytest.raises(DomainError):
             estimate_ratio_supremum(bad, levels=1)
+
+    @pytest.mark.parametrize("record", estimate_catalog(), ids=lambda r: r.identifier)
+    def test_sweep_equals_full_grid_then_mask(self, record):
+        got = estimate_ratio_supremum(record, levels=2).series
+        expect = _full_grid_sweep(record, levels=2)
+        for name, values in expect.items():
+            np.testing.assert_allclose(got[name], values, rtol=1e-13, atol=0.0, err_msg=name)
+
+    def test_sweep_evaluates_only_admissible_points(self):
+        def region(u, x, y):
+            return (y > x / 2.0) & (y < 2.0 * x)
+
+        def lhs(u, x, y):
+            if not np.all(region(u, x, y)):
+                raise DomainError("evaluated outside the region")
+            return np.exp(-((x - y) ** 2))
+
+        rec = EstimateRecord(
+            identifier="band-only",
+            lhs=lhs,
+            rhs=lambda u, x, y: np.ones_like(x),
+            region=region,
+            anchor="lhs defined on the band only",
+            box=((0.1, 1.0), (0.05, 6.0), (0.05, 6.0)),
+        )
+        rep = estimate_ratio_supremum(rec, levels=2)
+        assert rep.series["sup_ratio"] == [1.0, 1.0]
+
+    def test_d1d2_lhs_matches_four_piece_calls(self):
+        rng = np.random.default_rng(17)
+        alpha = 1.5
+        u = 0.7
+        x = rng.uniform(0.1, 5.0, 200)
+        y = x * rng.uniform(0.55, 1.9, 200)
+
+        def piece(p):
+            return dt_poisson_bessel_piece(p, alpha, u, x, y)
+
+        old = np.abs(piece("1") - piece("11")) + np.abs(piece("11") - piece("12"))
+        np.testing.assert_allclose(_d1d2(alpha, u, x, y), old, rtol=1e-15, atol=0.0)
+
+
+def _full_grid_sweep(record, levels):
+    """Reference sweep: every kernel evaluated on the full x-y sample grid of a
+    time slice, the region applied afterwards."""
+    series = {k: [] for k in ("sup_ratio", "h_time", "h_space",
+                              "argmax_t", "argmax_x", "argmax_y")}
+    box, base = record.box, record.base_shape
+    for level in range(levels):
+        axes = []
+        for pos, ((lo, hi), n) in enumerate(zip(box, base)):
+            count = (n - 1) * 2**level + 1
+            geometric = pos > 0 and lo > 0.0 and hi / lo >= 20.0
+            axes.append(np.geomspace(lo, hi, count) if geometric else np.linspace(lo, hi, count))
+        us, xs, ys = axes
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        sup, argmax = 0.0, (math.nan, math.nan, math.nan)
+        for u in us:
+            mask = np.broadcast_to(record.region(float(u), X, Y), X.shape)
+            lhs = np.broadcast_to(record.lhs(float(u), X, Y), X.shape)[mask]
+            rhs = np.broadcast_to(record.rhs(float(u), X, Y), X.shape)[mask]
+            live = rhs > 0.0
+            if live.any():
+                ratio = lhs[live] / rhs[live]
+                best = int(np.argmax(ratio))
+                if ratio[best] > sup:
+                    sup = float(ratio[best])
+                    argmax = (float(u), float(X[mask][live][best]), float(Y[mask][live][best]))
+        series["sup_ratio"].append(sup)
+        series["h_time"].append((box[0][1] - box[0][0]) / (us.size - 1))
+        series["h_space"].append((box[1][1] - box[1][0]) / (xs.size - 1))
+        for axis, value in zip(("t", "x", "y"), argmax):
+            series[f"argmax_{axis}"].append(value)
+    return series
 
 
 # ---------------------------------------------------------------------------

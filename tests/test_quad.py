@@ -106,6 +106,18 @@ def test_gauss_legendre_exactness():
     assert np.sum(w * x ** 7) == pytest.approx(2.0 ** 8 / 8.0, rel=1e-13)
 
 
+def test_quadrature_rules_cannot_corrupt_later_calls():
+    x, w = gauss_legendre_rule(0.0, 2.0, 8)
+    x[:] = 0.0
+    w[:] = 0.0
+    x, w = gauss_legendre_rule(0.0, 2.0, 8)
+    assert np.sum(w * x ** 7) == pytest.approx(2.0 ** 8 / 8.0, rel=1e-13)
+    # Jacobi rules are cached and shared, so they cannot be written
+    _, w = gauss_jacobi_rule(0.5, 1.0, 8)
+    with pytest.raises(ValueError):
+        w *= 2.0
+
+
 def test_gauss_jacobi_endpoint_weight():
     # integral of theta^(2a-1) * theta^2 over (0, b), exact for smooth part
     alpha = 0.3

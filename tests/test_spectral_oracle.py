@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from semireg import kernels as kn
 from semireg import spectral_oracle as so
@@ -111,6 +112,21 @@ def test_hankel_oracle_linear():
     rhs = (so.hankel_poisson_oracle(a, 0.3, g.nodes, f1)
            + 2.0 * so.hankel_poisson_oracle(a, 0.3, g.nodes, f2))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+@pytest.mark.parametrize("a", [0.7, 1.5])
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_hankel_oracle_is_transform_multiplier_inverse(a, t):
+    # forward transform, multiplier e^{-tz} w, then an explicitly built x-by-z inverse
+    nu = a - 0.5
+    x = Grid1D.uniform(0.0, 6.0, 120, domain="half-line").nodes
+    f = x ** a * np.exp(-((x - 2.0) ** 2))
+    z, w = so._frequency_panels(40.0, math.pi / (2.0 * (x.max() + 1.0)))
+    g = so.hankel_transform(nu, x, f, z) * np.exp(-t * z) * w
+    arg = np.multiply.outer(x, z)
+    expect = (np.sqrt(arg) * scipy.special.jv(nu, arg)) @ g
+    got = so.hankel_poisson_oracle(a, t, x, f)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_hankel_kernel_oracle_matches_closed_form():
