@@ -205,6 +205,8 @@ def _bessel_sums(piece: str, alpha: float, t, x, y):
     "full": weight (sin th)^{2a-1}, D = A + 2xy(1-cos th), th in (0, pi),
             summed as the half (0, pi/2) plus its mirror th -> pi - th;
     "1":    the same integrand on (0, pi/2) only;
+    "2":    the same integrand on (pi/2, pi) only, as the mirror th -> pi - th
+            of (0, pi/2); "1" + "2" = "full" (private: no public label);
     "11":   weight th^{2a-1}, same D, on (0, pi/2);
     "12":   weight th^{2a-1}, flattened D = A + xy th^2, on (0, pi/2);
     "13":   the "12" integrand on (pi/2, inf), mapped to tau = 1/th in
@@ -239,7 +241,7 @@ def _bessel_sums(piece: str, alpha: float, t, x, y):
     else:
         beta = 2.0 * alpha - 1.0
         th, w = gauss_jacobi_rule(beta, math.pi / 2.0, n)
-        if piece in ("full", "1"):
+        if piece in ("full", "1", "2"):
             w = w * (np.sin(th) / th) ** beta
         sign, w1, w2 = 1.0, w, w
         th = th.reshape(col)
@@ -247,7 +249,7 @@ def _bessel_sums(piece: str, alpha: float, t, x, y):
         if piece == "12":
             bases = ((xy, th * th, d2),)
         else:
-            angles = (th, math.pi - th) if piece == "full" else (th,)
+            angles = {"full": (th, math.pi - th), "2": (math.pi - th,)}.get(piece, (th,))
             bases = tuple((xy, 2.0 * (1.0 - np.cos(angle)), d2) for angle in angles)
     p = alpha + 1.0
     j1 = np.zeros((times.size, math.prod(grid)))

@@ -3,8 +3,10 @@ import pytest
 
 from semireg.covering import (
     COMPARABILITY_C0,
+    block_sum_bound,
     build_covering,
     comparability_constant,
+    domination_covering_difference,
     localized_operator_T,
     region_sandwich_check,
     rescaling_identity_check,
@@ -75,3 +77,25 @@ def test_localized_operator_is_the_block_sum(cov8, mode):
         expect += part.values * ball[None, :, None]
     got = localized_operator_T(f, cov8).values
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2, 3])
+def test_covering_constants_stay_below_their_bounds(cov8, mode):
+    # the benchmark's bounds; measured at most 2.54 and 0.90 over these modes
+    f = smooth_test_field(LINE, mode=mode)
+    assert 0.0 < domination_covering_difference(f, cov8).constant <= 3.0
+    assert 0.0 < block_sum_bound(f, cov8).constant <= 1.0
+
+
+def test_block_sum_is_the_per_block_loop(cov8):
+    # sum over dilated blocks B* of |K(1_{B*} f)|^2, one apply per block
+    f = smooth_test_field(LINE, fiber_dim=2, mode=1)
+    setting = KernelSetting("classical", diffusion=0.5)
+    x = LINE.space.nodes
+    total = 0.0
+    for c, r in zip(cov8.centers, cov8.radii):
+        block = np.abs(x - c) < (COMPARABILITY_C0 + 1.0) * r
+        total += apply_K(setting, f.with_values(f.values * block[None, :, None])).l2_norm() ** 2
+    res = block_sum_bound(f, cov8)
+    assert float(res.rhs[0]) == pytest.approx(total, rel=1e-12)
+    assert float(res.lhs[0]) == pytest.approx(localized_operator_T(f, cov8).l2_norm() ** 2, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -186,6 +187,22 @@ def test_piece_rejects_unknown():
         for label in ("7", "full", "2", ""):
             with pytest.raises(DomainError):
                 fn(label, 0.8, 0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("t, x, y", [(0.05, 0.4, 0.7), (0.6, 2.0, 1.3), (2.5, 5.0, 8.0)])
+def test_dt_obtuse_half_matches_mpmath(t, x, y):
+    # the (pi/2, pi) half of the dt Bessel angular integral, on the band
+    # x/2 < y < 2x, against mpmath's quadrature at 30 digits
+    a = 1.5
+    with mpmath.workdps(30):
+        def sums(p):
+            return mpmath.quad(lambda th: mpmath.sin(th) ** (2 * a - 1) * (
+                (x - y) ** 2 + t * t + 2 * x * y * (1 - mpmath.cos(th))) ** (-p),
+                [mpmath.pi / 2, mpmath.pi])
+        expect = float(2 * a / mpmath.pi * (x * y) ** a
+                       * (sums(a + 1) - 2 * (a + 1) * t * t * sums(a + 2)))
+    got = float(kn._bessel_kernel("2", a, t, x, y, dt=True))
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 # values of the angular (Bessel) and subordinated (oscillator) kernels at

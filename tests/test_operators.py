@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semireg.covering import build_covering, localized_operator_T, multiplicity_matrix
 from semireg.errors import DomainError
 from semireg.kernels import (
     KernelSetting,
@@ -15,6 +16,10 @@ from semireg.kernels import (
 )
 from semireg.operators import (
     _d1d2,
+    _family_bessel_piece,
+    _family_difference,
+    _family_for,
+    _family_reflected,
     _kernel_tensors,
     _Term,
     EstimateRecord,
@@ -52,6 +57,7 @@ from semireg.operators import (
 from semireg.quad import Grid1D, SpaceTimeGrid
 
 CL = KernelSetting("classical")
+CL_HALF = KernelSetting("classical", diffusion=0.5)
 BESSEL = KernelSetting("bessel", alpha=1.5)
 HERMITE = KernelSetting("hermite")
 LAGUERRE = KernelSetting("laguerre", alpha=1.5)
@@ -337,6 +343,101 @@ class TestApplyK:
             apply_K_plus(BESSEL, f_half)
         with pytest.raises(DomainError):
             apply_K_minus(CL, f_line)
+
+
+def _dense_apply(family, f, weight=None, delta_steps=2):
+    """Reference apply: the family's signed, weighted term sum materialized
+    as whole stacks, contracted lag by lag with einsum in the (time, space,
+    fiber) layout."""
+    dt, nt = f.grid.dt, f.n_time
+    parts = [(sign, _kernel_tensors(term, f.grid, delta_steps)) for sign, term in family.terms]
+    stack = sum(sign * s for sign, (s, _) in parts)
+    q = sum(sign * v for sign, (_, v) in parts)
+    diag = np.ones(f.n_space)
+    if weight is not None:
+        stack, q, diag = stack * weight, q * weight, np.diag(weight)
+    wy = f.grid.space.cell_widths()[None, :, None]
+    out = np.zeros_like(f.values)
+    for m in range(delta_steps, nt):
+        kern = stack[m - delta_steps]
+        out[m:] += dt * np.einsum("xy,tyf->txf", kern, wy * f.values[: nt - m], optimize=True)
+    g = time_derivative(f.values, dt)
+    mass = family.identity_mass * diag[None, :, None]
+    delta = (delta_steps - 0.5) * dt
+    out += np.einsum("xy,tyf->txf", q, wy * f.values, optimize=True) - mass * f.values
+    out -= (delta / 2.0) * (np.einsum("xy,tyf->txf", q, wy * g, optimize=True) - mass * g)
+    return out
+
+
+def _piece_families(alpha):
+    p = {s: _family_bessel_piece(alpha, s, m)
+         for s, m in (("1", 1.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
+    return {"d1": _family_difference(p["1"], p["11"]), "d2": _family_difference(p["11"], p["12"]),
+            "d3": p["13"], "k2": _family_difference(_family_for(BESSEL), p["1"])}
+
+
+def _local(f):
+    return local_region_matrix(f.grid.space)
+
+
+# apply kind -> (grid, the apply, its family, its weight matrix or None)
+APPLY_KINDS = {
+    "full-bessel": ("half", lambda f: apply_K(BESSEL, f), _family_for(BESSEL), None),
+    "full-hermite": ("line", lambda f: apply_K(HERMITE, f), _family_for(HERMITE), None),
+    "reflected": ("half", lambda f: apply_K_minus(CL, f), _family_reflected(CL), None),
+    "local-hermite": ("line", lambda f: apply_K_local(HERMITE, f), _family_for(HERMITE), _local),
+    "global-bessel": ("half", lambda f: apply_K_global(BESSEL, f), _family_for(BESSEL),
+                      lambda f: 1.0 - _local(f)),
+    "hermite-minus-classical": (
+        "line", lambda f: apply_difference_local(HERMITE, CL_HALF, f),
+        _family_difference(_family_for(HERMITE), _family_for(CL_HALF)), _local),
+    "hermite-minus-laguerre": (
+        "half", lambda f: apply_difference_local(HERMITE, LAGUERRE, f),
+        _family_difference(_family_for(HERMITE), _family_for(LAGUERRE)), _local),
+    **{f"bessel-{k}": ("half", lambda f, k=k: difference_local_pieces(1.5, f)[k], fam, _local)
+       for k, fam in _piece_families(1.5).items()},
+    "covering-multiplicity": (
+        "line", lambda f: localized_operator_T(f, build_covering(8.0)), _family_for(CL_HALF),
+        lambda f: multiplicity_matrix(build_covering(8.0), f.grid.space.nodes)),
+}
+
+
+def _kind_field(grid, fiber):
+    # fiber components with distinct oscillations and amplitudes, so a
+    # transposed or mixed-up fiber axis changes the output
+    f = smooth_test_field(grid, fiber_dim=fiber, mode=1)
+    return f.with_values(f.values * np.linspace(1.0, 2.0, fiber))
+
+
+def _normwise(got, expect):
+    return np.linalg.norm(got - expect) / np.linalg.norm(expect)
+
+
+class TestApplyAgainstDenseReference:
+    grids = {"half": half_grid(), "line": line_grid()}
+
+    @pytest.mark.parametrize("fiber", [1, 5])
+    @pytest.mark.parametrize("kind", list(APPLY_KINDS))
+    def test_apply_matches_dense_reference(self, kind, fiber):
+        grid, call, family, weight = APPLY_KINDS[kind]
+        f = _kind_field(self.grids[grid], fiber)
+        expect = _dense_apply(family, f, None if weight is None else weight(f))
+        assert _normwise(call(f).values, expect) <= 1e-13
+
+    @pytest.mark.parametrize("kind", list(APPLY_KINDS))
+    def test_fiber_apply_is_stacked_scalar_applies(self, kind):
+        grid, call, _, _ = APPLY_KINDS[kind]
+        f = _kind_field(self.grids[grid], 5)
+        stacked = np.concatenate(
+            [call(f.with_values(f.values[:, :, k:k + 1])).values for k in range(5)], axis=2)
+        assert _normwise(call(f).values, stacked) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["full-bessel", "global-bessel", "bessel-d1"])
+    def test_off_benchmark_shape(self, kind):
+        _, call, family, weight = APPLY_KINDS[kind]
+        f = _kind_field(half_grid(nt=12, nx=16, horizon=1.0), 3)
+        expect = _dense_apply(family, f, None if weight is None else weight(f))
+        assert _normwise(call(f).values, expect) <= 1e-13
 
 
 class TestLocalRegion:
