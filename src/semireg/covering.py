@@ -32,7 +32,7 @@ from .operators import (
     hardy_littlewood_M,
     local_region_matrix,
 )
-from .quad import gauss_legendre_rule
+from .quad import gauss_legendre_panels
 
 __all__ = [
     "COMPARABILITY_C0",
@@ -262,35 +262,20 @@ def _poisson_average(diffusion: float, u: np.ndarray, x: float, phi,
         lo, hi = max(lo, x - cut), min(hi, x + cut)
     if not hi > lo:
         return np.zeros_like(u)
-    edges = {lo, hi}
+    cuts = [lo, hi]
     if lo < x < hi:
-        for j in range(28):
-            step = 1e-7 * 2.0**j
-            if x - step > lo:
-                edges.add(x - step)
-            if x + step < hi:
-                edges.add(x + step)
-    cuts = np.array(sorted(edges))
-    total = np.zeros_like(u)
-    for a, b in zip(cuts, cuts[1:]):
-        pts, wts = gauss_legendre_rule(float(a), float(b), 10)
-        kern = poisson_classical(u[:, None], x - pts[None, :], diffusion)
-        total += kern @ (wts * phi(pts))
-    return total
+        steps = 1e-7 * 2.0 ** np.arange(28)
+        cuts = np.concatenate([cuts, x - steps[x - steps > lo], x + steps[x + steps < hi]])
+    pts, wts = gauss_legendre_panels(np.unique(cuts), 10)
+    return poisson_classical(u[:, None], x - pts[None, :], diffusion) @ (wts * phi(pts))
 
 
 def _k_separable(diffusion, t, x, w, wprime, phi, support, cut) -> float:
     """K on a separable input w(s) phi(y) through the time-integrated form
-    K = -phi(x) w(t) + int_0^t (P_u phi)(x) w'(t-u) du."""
-    acc = 0.0
-    for a, b in ((0.0, 0.5 * t), (0.5 * t, t)):
-        for j in range(12):
-            lo = a + (b - a) * j / 12.0
-            hi = a + (b - a) * (j + 1) / 12.0
-            pts, wts = gauss_legendre_rule(lo, hi, 8)
-            s = _poisson_average(diffusion, pts, x, phi, support, cut)
-            acc += float(np.dot(wts, s * wprime(t - pts)))
-    return acc - phi(x) * w(t)
+    K = -phi(x) w(t) + int_0^t (P_u phi)(x) w'(t-u) du, on 24 equal panels."""
+    u, wts = gauss_legendre_panels(t * np.arange(25) / 24.0, 8)
+    s = _poisson_average(diffusion, u, x, phi, support, cut)
+    return float(np.dot(wts, s * wprime(t - u)) - phi(x) * w(t))
 
 
 def rescaling_identity_check(R: float, support: float = 1.0, window: float = 2.0,

@@ -196,11 +196,11 @@ def heat_classical(t, z, diffusion: float = 1.0):
 _PIECES = ("1", "11", "12", "13")
 
 
-def _bessel_sums(piece: str, alpha: float, t, x, y):
+def _bessel_sums(piece: str, alpha: float, t, x, y, dt: bool):
     """Angular quadratures (sign, J1, J2) behind the Bessel Poisson kernel.
 
-    J1 = int weight(th) D(th)^{-(a+1)} dth and J2 is the same with exponent
-    a+2, where A = (x-y)^2 + t^2 and, by piece,
+    J1 = int weight(th) D(th)^{-(a+1)} dth and J2, only for dt (else None),
+    is the same with exponent a+2, where A = (x-y)^2 + t^2 and, by piece,
 
     "full": weight (sin th)^{2a-1}, D = A + 2xy(1-cos th), th in (0, pi),
             summed as the half (0, pi/2) plus its mirror th -> pi - th;
@@ -253,7 +253,7 @@ def _bessel_sums(piece: str, alpha: float, t, x, y):
             bases = tuple((xy, 2.0 * (1.0 - np.cos(angle)), d2) for angle in angles)
     p = alpha + 1.0
     j1 = np.zeros((times.size, math.prod(grid)))
-    j2 = np.zeros_like(j1)
+    j2 = np.zeros_like(j1) if dt else None
     d = np.empty(col[:1] + grid)
     power = np.empty_like(d)
     for lhs, factor, addend in bases:
@@ -264,12 +264,12 @@ def _bessel_sums(piece: str, alpha: float, t, x, y):
             # one power per node: D^{-(a+2)} is D^{-(a+1)} / D
             np.power(d, -p, out=power)
             j1[k] += w1 @ power.reshape(n, -1)
-            power /= d
-            j2[k] += w2 @ power.reshape(n, -1)
+            if dt:
+                power /= d
+                j2[k] += w2 @ power.reshape(n, -1)
         del base  # freed before the next angle set's base is formed
-    j1 = j1.reshape(times.shape + grid)
-    j2 = j2.reshape(times.shape + grid)
-    return (sign, j1, j2) if np.ndim(t) else (sign, j1[0], j2[0])
+    shape = times.shape + grid if np.ndim(t) else grid
+    return sign, j1.reshape(shape), (j2.reshape(shape) if dt else None)
 
 
 def _lead(t, ndim: int):
@@ -278,7 +278,7 @@ def _lead(t, ndim: int):
 
 
 def _bessel_kernel(piece: str, alpha: float, t, x, y, dt: bool):
-    sign, j1, j2 = _bessel_sums(piece, alpha, t, x, y)
+    sign, j1, j2 = _bessel_sums(piece, alpha, t, x, y, dt)
     t = _lead(t, np.ndim(j1) - np.ndim(t))
     pref = sign * (2.0 * alpha / math.pi) * (np.asarray(x) * np.asarray(y)) ** alpha
     if dt:

@@ -46,7 +46,7 @@ from .kernels import (
     _bessel_kernel,
     _subordinate,
 )
-from .quad import Grid1D, SpaceTimeGrid, gauss_legendre_rule
+from .quad import Grid1D, SpaceTimeGrid, gauss_legendre_panels, gauss_legendre_rule
 
 __all__ = [
     "SampledField",
@@ -1078,13 +1078,10 @@ def difference_kernel_time_integral(alpha: float, x, y, panels: int = 60) -> np.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gl_nodes, gl_weights = gauss_legendre_rule(0.0, 1.0, 8)
-    edges = np.geomspace(1e-6, 40.0, panels + 1)
+    nodes, weights = gauss_legendre_panels(np.geomspace(1e-6, 40.0, panels + 1), 8)
     total = np.zeros(np.broadcast(x, y).shape)
-    for a, b in zip(edges[:-1], edges[1:]):
-        for s, w in zip(gl_nodes, gl_weights):
-            u = a + (b - a) * s
-            total += (b - a) * w * np.abs(heat_hermite(u, x, y) - heat_laguerre(alpha, u, x, y)) / u
+    for u, w in zip(nodes, weights):
+        total += w * np.abs(heat_hermite(u, x, y) - heat_laguerre(alpha, u, x, y)) / u
     return total
 
 

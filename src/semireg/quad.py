@@ -27,6 +27,7 @@ __all__ = [
     "Grid1D",
     "SpaceTimeGrid",
     "gauss_legendre_rule",
+    "gauss_legendre_panels",
     "gauss_jacobi_rule",
     "grid_integrate",
 ]
@@ -244,11 +245,20 @@ def _legendre_reference(n: int):
     return x, w
 
 
-def gauss_legendre_rule(a: float, b: float, n: int):
-    """Gauss-Legendre nodes/weights on (a, b): the cached (-1, 1) rule for n,
-    mapped affinely into fresh arrays."""
+def gauss_legendre_panels(edges, n: int):
+    """Composite Gauss-Legendre rule: the cached (-1, 1) rule for n mapped
+    affinely onto every panel between consecutive edges, as fresh flat node
+    and weight arrays in panel order."""
+    edges = np.asarray(edges, dtype=float)
     x, w = _legendre_reference(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
+
+
+def gauss_legendre_rule(a: float, b: float, n: int):
+    """Gauss-Legendre nodes/weights on (a, b): the one-panel composite rule."""
+    return gauss_legendre_panels((a, b), n)
 
 
 def gauss_jacobi_rule(beta: float, b: float, n: int):

@@ -32,7 +32,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import CapabilityError, DomainError
 from .kernels import KernelSetting
-from .quad import Grid1D, gauss_legendre_rule
+from .quad import Grid1D, gauss_legendre_panels
 from .specfun import hermite_function, laguerre_function
 from .spectral_oracle import _generator_coefficients
 
@@ -413,11 +413,8 @@ def _panel_edges(entry: ChartEntry, target_side: bool) -> np.ndarray:
 
 
 def _panel_integral(fn: Callable, edges: np.ndarray, n: int = 12) -> float:
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        pts, wts = gauss_legendre_rule(float(a), float(b), n)
-        total += float(wts @ fn(pts))
-    return total
+    pts, wts = gauss_legendre_panels(edges, n)
+    return float(wts @ fn(pts))
 
 
 def isometry_defect(entry: ChartEntry, test: Optional[Callable] = None,

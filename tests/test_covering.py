@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from semireg import covering
 from semireg.covering import (
     COMPARABILITY_C0,
     block_sum_bound,
@@ -14,9 +17,9 @@ from semireg.covering import (
     uncovered_points,
 )
 from semireg.errors import DomainError
-from semireg.kernels import KernelSetting
+from semireg.kernels import KernelSetting, critical_radius, poisson_classical
 from semireg.operators import apply_K, smooth_test_field
-from semireg.quad import Grid1D, SpaceTimeGrid
+from semireg.quad import Grid1D, SpaceTimeGrid, gauss_legendre_rule
 
 # the 24 x 96 line grid of the operator tests: 24 times on (0, 4), 96 nodes on (-8, 8)
 LINE = SpaceTimeGrid.uniform(4.0, 24, Grid1D.symmetric(8.0, 48))
@@ -54,6 +57,56 @@ def test_build_covering_rejects_bad_input():
 @pytest.mark.parametrize("factor", [1.0, 1.4])
 def test_rescaling_identity_above_threshold(factor):
     assert rescaling_identity_check(factor * rescaling_threshold()) <= 1e-12
+
+
+def _k_separable_per_panel(diffusion, t, x, w, wprime, phi, support, cut):
+    """K on w(s) phi(y) with one Gauss-Legendre rule per time panel and, inside
+    it, one per space panel, the spatial panels refined toward y = x when x
+    lies inside the integration interval."""
+    lo, hi = -support, support
+    if cut is not None:
+        lo, hi = max(lo, x - cut), min(hi, x + cut)
+    edges = {lo, hi}
+    for j in range(28 if lo < x < hi else 0):
+        for side in (-1.0, 1.0):
+            e = x + side * 1e-7 * 2.0 ** j
+            if lo < e < hi:
+                edges.add(e)
+    cuts = sorted(edges)
+    acc = 0.0
+    for j in range(24):
+        u, wu = gauss_legendre_rule(t * j / 24.0, t * (j + 1) / 24.0, 8)
+        avg = np.zeros_like(u)
+        for a, b in zip(cuts, cuts[1:]):
+            y, wy = gauss_legendre_rule(a, b, 10)
+            avg += poisson_classical(u[:, None], x - y[None, :], diffusion) @ (wy * phi(y))
+        acc += float(np.dot(wu, avg * wprime(t - u)))
+    return acc - float(phi(x) * w(t))
+
+
+def test_k_separable_matches_per_panel_loop():
+    # the 8 probes of rescaling_identity_check (horizon 1, support 1,
+    # window 2), unscaled and rescaled
+    R = 1.2 * rescaling_threshold()
+
+    def w(s):
+        return np.sin(math.pi * s) ** 2
+
+    def wprime(s):
+        return math.pi * np.sin(2.0 * math.pi * s)
+
+    def phi(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.abs(y) <= 1.0, np.cos(0.5 * math.pi * y) ** 2, 0.0)
+
+    for t in (0.45, 0.85):
+        for x in (0.0, 0.6, 1.5, 2.0):
+            cases = [(t, x, w, wprime, phi, 1.0, None),
+                     (t / R, x / R, lambda s: w(R * s), lambda s: R * wprime(R * s),
+                      lambda y: phi(R * y), 1.0 / R, critical_radius(x / R))]
+            for args in cases:
+                batched = covering._k_separable(0.5, *args)
+                assert abs(batched - _k_separable_per_panel(0.5, *args)) <= 1e-15
 
 
 def test_rescaling_identity_rejects_scale_below_threshold():

@@ -9,6 +9,7 @@ from semireg.quad import (
     QuadratureRule,
     SpaceTimeGrid,
     gauss_jacobi_rule,
+    gauss_legendre_panels,
     gauss_legendre_rule,
     grid_integrate,
     integrate,
@@ -104,6 +105,20 @@ def test_space_time_grid_rejects_outside_nodes():
 def test_gauss_legendre_exactness():
     x, w = gauss_legendre_rule(0.0, 2.0, 8)
     assert np.sum(w * x ** 7) == pytest.approx(2.0 ** 8 / 8.0, rel=1e-13)
+
+
+def test_gauss_legendre_panels_are_the_per_panel_rules():
+    edges = np.array([0.0, 1e-9, 0.3, 1.0, 2.5])
+    x, w = gauss_legendre_panels(edges, 6)
+    assert x.shape == w.shape == (24,)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(6)
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        panel = slice(6 * k, 6 * k + 6)
+        assert np.allclose(x[panel], a + 0.5 * (b - a) * (ref_x + 1.0), rtol=1e-14, atol=0.0)
+        assert np.allclose(w[panel], 0.5 * (b - a) * ref_w, rtol=1e-15, atol=0.0)
+        assert np.array_equal(gauss_legendre_rule(a, b, 6)[0], x[panel])
+    # degree 11 is exact on every panel, so on the union
+    assert np.sum(w * x ** 11) == pytest.approx(2.5 ** 12 / 12.0, rel=1e-13)
 
 
 def test_quadrature_rules_cannot_corrupt_later_calls():

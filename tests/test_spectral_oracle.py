@@ -141,11 +141,95 @@ def test_hankel_kernel_oracle_matches_closed_form():
         assert abs(closed / oracle - 1.0) < 1e-5
 
 
+def test_hankel_kernel_oracle_matches_closed_form_to_rounding():
+    # the graded z-rule resolves the z^{2 alpha} endpoint at z = 0, so the
+    # oracle and the angular closed form meet at the angular rule's accuracy
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a = rng.uniform(0.4, 2.0)
+        t = rng.uniform(0.2, 1.5)
+        x = rng.uniform(0.3, 3.0)
+        y = rng.uniform(0.3, 3.0)
+        closed = float(kn.poisson_bessel(a, t, x, y))
+        oracle = so.hankel_poisson_kernel_oracle(a, t, x, y)
+        assert abs(closed / oracle - 1.0) < 1e-12
+
+
+def _dense_graded_rule(z_max, panel):
+    """Reference z-rule: 32 Gauss-Legendre nodes on every panel, edges 0,
+    panel 2^-60, ..., panel/2, panel, then panels of length <= panel."""
+    base_x, base_w = np.polynomial.legendre.leggauss(32)
+    n = math.ceil(z_max / panel) - 1
+    edges = np.concatenate([[0.0], panel * 2.0 ** np.arange(-60, 0),
+                            np.linspace(panel, z_max, n + 1)])
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (half * base_x + mid).ravel(), (half * base_w).ravel()
+
+
+@pytest.mark.parametrize("a", [0.55, 0.7, 0.9, 1.5, 2.3])
+def test_hankel_routes_match_dense_graded_reference(a):
+    nu = a - 0.5
+    g = Grid1D.uniform(0.0, 8.0, 60, domain="half-line")
+    x = g.nodes
+    f = x ** a * (np.exp(-(((x - 2.0) / 0.7) ** 2)) - 0.8 * np.exp(-(((x - 1.3) / 0.6) ** 2)))
+    z, w = _dense_graded_rule(40.0, math.pi / (2.0 * (x.max() + 1.0)))
+    arg = np.multiply.outer(z, x)
+    hank = np.sqrt(arg) * scipy.special.jv(nu, arg)
+    sampled = hank.T @ (scipy.integrate.simpson(hank * f, x=x, axis=1) * np.exp(-0.7 * z) * w)
+    root = hank.T @ ((hank @ (f * g.cell_widths())) * z * w)
+    for got, ref in ((so.hankel_poisson_oracle(a, 0.7, x, f), sampled),
+                     (so.sqrt_generator_apply(kn.bessel(a), g, f), root)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for t, x0, y0 in ((0.3, 0.5, 2.0), (1.2, 1.7, 0.9)):
+        z, w = _dense_graded_rule(max(40.0, 40.0 / t), math.pi / (2.0 * (x0 + y0 + 1.0)))
+        ref = math.sqrt(x0 * y0) * np.sum(
+            w * z * np.exp(-t * z) * scipy.special.jv(nu, x0 * z) * scipy.special.jv(nu, y0 * z))
+        assert so.hankel_poisson_kernel_oracle(a, t, x0, y0) == pytest.approx(ref, rel=1e-12)
+
+
 def test_hankel_preconditions():
     with pytest.raises(DomainError):
         so.hankel_poisson_oracle(-1.0, 0.5, np.array([1.0]), np.array([1.0]))
     with pytest.raises(DomainError):
         so.hankel_poisson_kernel_oracle(0.8, -0.5, 1.0, 1.0)
+
+
+def test_hankel_routes_reject_negative_nodes():
+    x = np.array([-0.5, 0.5, 1.0])
+    with pytest.raises(DomainError):
+        so.hankel_poisson_oracle(0.8, 0.5, x, np.ones(3))
+    with pytest.raises(DomainError):
+        so.hankel_transform(0.3, x, np.ones(3), np.array([1.0, 2.0]))
+
+
+def test_bessel_sqrt_generator_rejects_real_line_grid():
+    g = Grid1D.symmetric(4.0, 16)
+    with pytest.raises(DomainError):
+        so.sqrt_generator_apply(kn.bessel(1.5), g, np.exp(-g.nodes ** 2))
+
+
+def test_hankel_routes_reject_mismatched_samples():
+    x = Grid1D.uniform(0.0, 4.0, 20, domain="half-line")
+    with pytest.raises(DomainError):
+        so.hankel_poisson_oracle(0.8, 0.5, x.nodes, np.ones(19))
+    with pytest.raises(DomainError):
+        so.hankel_transform(0.3, x.nodes, np.ones(21), np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        so.sqrt_generator_apply(kn.bessel(1.5), x, np.ones((2, 19)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hankel_routes_reject_non_finite_arguments(bad):
+    with pytest.raises(DomainError):
+        so.hankel_poisson_kernel_oracle(0.8, bad, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        so.hankel_poisson_kernel_oracle(0.8, 0.5, bad, 1.0)
+    with pytest.raises(DomainError):
+        so.hankel_poisson_oracle(0.8, bad, np.array([0.5, 1.0, 1.5]), np.ones(3))
+    # a frequency cutoff inside the first panel leaves no rule to build
+    with pytest.raises(DomainError):
+        so.hankel_poisson_oracle(0.8, 0.5, np.array([0.5, 1.0, 1.5]), np.ones(3), z_max=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from semireg import transference as tr
 from semireg.errors import CapabilityError, DomainError
 from semireg.kernels import KernelSetting
-from semireg.quad import Grid1D
+from semireg.quad import Grid1D, gauss_legendre_rule
 from semireg.specfun import hermite_function
 
 ALPHAS = (0.8, 1.5)
@@ -139,6 +139,21 @@ def test_isometry_defect_all_entries(alpha):
     for e in tr.chart_entries(alpha):
         for seed in range(5):
             assert tr.isometry_defect(e, seed=seed) < 1e-8
+
+
+def test_panel_integral_matches_per_panel_loop():
+    # both sides of every isometry integral, against one rule per panel
+    fn = tr.random_smooth_function(np.random.default_rng(0))
+    for e in tr.chart_entries(1.5):
+        sides = [(lambda x, e=e: e.weight(x) ** 2 * fn(x * x if e.square_map else x) ** 2, False),
+                 (lambda z, e=e: e.target_density(z) * fn(z) ** 2, True)]
+        for integrand, target_side in sides:
+            edges = tr._panel_edges(e, target_side=target_side)
+            loop = 0.0
+            for a, b in zip(edges, edges[1:]):
+                pts, wts = gauss_legendre_rule(float(a), float(b), 12)
+                loop += float(wts @ integrand(pts))
+            assert tr._panel_integral(integrand, edges) == pytest.approx(loop, rel=1e-14)
 
 
 def test_isometry_rejects_massless_test_function():
