@@ -256,16 +256,15 @@ def _poisson_average(diffusion: float, u: np.ndarray, x: float, phi,
                      support: float, cut: float | None) -> np.ndarray:
     """S(u) = integral of P_u(x-y) phi(y) dy over (-support, support),
     optionally intersected with |y-x| < cut; panel quadrature refined
-    geometrically toward y = x so small u stay resolved."""
+    geometrically toward the interval's point nearest x, so small u stay resolved."""
     lo, hi = -support, support
     if cut is not None:
         lo, hi = max(lo, x - cut), min(hi, x + cut)
     if not hi > lo:
         return np.zeros_like(u)
-    cuts = [lo, hi]
-    if lo < x < hi:
-        steps = 1e-7 * 2.0 ** np.arange(28)
-        cuts = np.concatenate([cuts, x - steps[x - steps > lo], x + steps[x + steps < hi]])
+    near = min(max(x, lo), hi)
+    steps = 1e-7 * 2.0 ** np.arange(28)
+    cuts = np.concatenate([[lo, hi], near - steps[near - steps > lo], near + steps[near + steps < hi]])
     pts, wts = gauss_legendre_panels(np.unique(cuts), 10)
     return poisson_classical(u[:, None], x - pts[None, :], diffusion) @ (wts * phi(pts))
 

@@ -19,7 +19,7 @@ from semireg.covering import (
 from semireg.errors import DomainError
 from semireg.kernels import KernelSetting, critical_radius, poisson_classical
 from semireg.operators import apply_K, smooth_test_field
-from semireg.quad import Grid1D, SpaceTimeGrid, gauss_legendre_rule
+from semireg.quad import Grid1D, SpaceTimeGrid, gauss_legendre_panels, gauss_legendre_rule
 
 # the 24 x 96 line grid of the operator tests: 24 times on (0, 4), 96 nodes on (-8, 8)
 LINE = SpaceTimeGrid.uniform(4.0, 24, Grid1D.symmetric(8.0, 48))
@@ -59,17 +59,32 @@ def test_rescaling_identity_above_threshold(factor):
     assert rescaling_identity_check(factor * rescaling_threshold()) <= 1e-12
 
 
+# the separable input of rescaling_identity_check at horizon 1, support 1
+def _w(s):
+    return np.sin(math.pi * s) ** 2
+
+
+def _wprime(s):
+    return math.pi * np.sin(2.0 * math.pi * s)
+
+
+def _phi(y):
+    y = np.asarray(y, dtype=float)
+    return np.where(np.abs(y) <= 1.0, np.cos(0.5 * math.pi * y) ** 2, 0.0)
+
+
 def _k_separable_per_panel(diffusion, t, x, w, wprime, phi, support, cut):
     """K on w(s) phi(y) with one Gauss-Legendre rule per time panel and, inside
-    it, one per space panel, the spatial panels refined toward y = x when x
-    lies inside the integration interval."""
+    it, one per space panel, the spatial panels refined toward the
+    integration interval's nearest point to x."""
     lo, hi = -support, support
     if cut is not None:
         lo, hi = max(lo, x - cut), min(hi, x + cut)
+    near = min(max(x, lo), hi)
     edges = {lo, hi}
-    for j in range(28 if lo < x < hi else 0):
+    for j in range(28):
         for side in (-1.0, 1.0):
-            e = x + side * 1e-7 * 2.0 ** j
+            e = near + side * 1e-7 * 2.0 ** j
             if lo < e < hi:
                 edges.add(e)
     cuts = sorted(edges)
@@ -88,25 +103,28 @@ def test_k_separable_matches_per_panel_loop():
     # the 8 probes of rescaling_identity_check (horizon 1, support 1,
     # window 2), unscaled and rescaled
     R = 1.2 * rescaling_threshold()
-
-    def w(s):
-        return np.sin(math.pi * s) ** 2
-
-    def wprime(s):
-        return math.pi * np.sin(2.0 * math.pi * s)
-
-    def phi(y):
-        y = np.asarray(y, dtype=float)
-        return np.where(np.abs(y) <= 1.0, np.cos(0.5 * math.pi * y) ** 2, 0.0)
-
     for t in (0.45, 0.85):
         for x in (0.0, 0.6, 1.5, 2.0):
-            cases = [(t, x, w, wprime, phi, 1.0, None),
-                     (t / R, x / R, lambda s: w(R * s), lambda s: R * wprime(R * s),
-                      lambda y: phi(R * y), 1.0 / R, critical_radius(x / R))]
+            cases = [(t, x, _w, _wprime, _phi, 1.0, None),
+                     (t / R, x / R, lambda s: _w(R * s), lambda s: R * _wprime(R * s),
+                      lambda y: _phi(R * y), 1.0 / R, critical_radius(x / R))]
             for args in cases:
                 batched = covering._k_separable(0.5, *args)
                 assert abs(batched - _k_separable_per_panel(0.5, *args)) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.45, 0.85])
+def test_k_separable_resolves_probes_outside_the_support(t):
+    # probe x = 1.5 right of the support |y| <= 1, where P_u(x - y) still
+    # varies on the scale x - 1 across it; reference: the same time rule with
+    # 1,280 equal 10-node space panels (12,800 nodes)
+    x = 1.5
+    u, wu = gauss_legendre_panels(t * np.arange(25) / 24.0, 8)
+    y, wy = gauss_legendre_panels(np.linspace(-1.0, 1.0, 1281), 10)
+    avg = poisson_classical(u[:, None], x - y[None, :], 0.5) @ (wy * _phi(y))
+    expect = float(np.dot(wu, avg * _wprime(t - u)))
+    got = covering._k_separable(0.5, t, x, _w, _wprime, _phi, 1.0, None)
+    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_rescaling_identity_rejects_scale_below_threshold():

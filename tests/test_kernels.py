@@ -148,15 +148,120 @@ def test_piece_split_identity():
         assert p13 < 0.0
 
 
-def test_piece_twelve_antiderivative_oracle():
-    # the flattened integrand has an elementary antiderivative
-    t, x, y = 0.52, 0.9, 1.7
-    for a in (0.6, 1.4):
-        big_a = (x - y) ** 2 + t * t
-        expect = (t / (math.pi * big_a)) * (
-            x * y / (4.0 * big_a / math.pi ** 2 + x * y)) ** a
-        assert float(kn.poisson_bessel_piece("12", a, t, x, y)) == pytest.approx(
-            expect, rel=1e-12)
+# (value, dt) of pieces 12 and 13 and of the whole kernel at CLOSED_FORM_POINTS
+# (x/t = 2, 300, 1000, t/x = 1e4, and x/t = 1000 at y - x = t, where the
+# dt kernels are near a sign change), by mpmath at 30 digits: the angular
+# integrals of the definitions (the whole kernel's over (0, pi), with
+# 1 - cos th written 2 sin^2(th/2); the flattened pieces' over (0, pi/2) and
+# (pi/2, inf)), split at the dyadic multiples 2^k sqrt(A/xy), k >= -60, of
+# the peak width that fall inside the range (on (pi/2, inf) up to
+# 10^6 max(sqrt(A/xy), 1)), each divided by a first estimate of its size so
+# that quad's absolute tolerance acts as a relative one.  The whole-kernel
+# values agree with mpmath's own 2F1 form to 1e-16.
+SIGN_CHANGE = (1e-3, 1.0, 1.001)
+CLOSED_FORM_POINTS = ((0.5, 1.0, 1.3), (1.0 / 300.0, 1.0, 1.0 + 1.0 / 600.0),
+                      (1e-3, 1.0, 1.0005), (1e4, 1.0, 0.501), SIGN_CHANGE)
+MPMATH_CLOSED_FORMS = {
+    ("12", 0.55): ((0.44287016578742944, -0.4854786705618205),
+                   (76.3941365674144, -13751.057917654087),
+                   (254.6478380291548, -152788.81628608864),
+                   (1.4239434316893703e-09, -2.9902811761936493e-13),
+                   (159.1548722094641, -0.0708824218250042)),
+    ("12", 1.5): ((0.4024481817417083, -0.5489372990227809),
+                  (76.39372873120621, -13751.180266838908),
+                  (254.64771553466582, -152788.93878042625),
+                  (4.3748819272994663e-17, -1.7499527492487706e-20),
+                  (159.15474977621784, -0.19331551689219764)),
+    ("12", 2.3): ((0.3712843459381667, -0.590155793170145),
+                  (76.39338529187751, -13751.283296414183),
+                  (254.64761238145766, -152789.04193343385),
+                  (2.0636132856595853e-23, -1.1556234248435382e-26),
+                  (159.15464667460984, -0.2964169245299687)),
+    ("13", 0.55): ((-0.02523260801226269, -0.0449113540444633),
+                   (-0.00023611669464128335, -0.070834514796074),
+                   (-7.091788896480529e-05, -0.07091784443708642),
+                   (-3.18295645956879e-05, 3.1827998099424435e-09),
+                   (-7.08824487765247e-05, -0.0708824042933009)),
+    ("13", 1.5): ((-0.06565459205798381, -0.10836998250542369),
+                  (-0.0006439529028466842, -0.19318369961696305),
+                  (-0.00019341237793040744, -0.19341218206073912),
+                  (-3.183098853907584e-05, 3.1830988380425632e-09),
+                  (-0.00019331569503439896, -0.19331549936049433)),
+    ("13", 2.3): ((-0.0968184278615254, -0.14958847665278782),
+                  (-0.0009873922315439966, -0.2962132748925965),
+                  (-0.00029656558609325774, -0.29656518965315615),
+                  (-3.1830988539119586e-05, 3.1830988380600626e-09),
+                  (-0.0002964173030420773, -0.29641690699826534)),
+    (None, 0.55): ((0.4821581388454582, -0.4363102255016136),
+                   (76.39514932072026, -13750.785553750762),
+                   (254.64818958940342, -152788.49622296318),
+                   (2.8045641791624094e-09, -5.889584667477172e-13),
+                   (159.15521435619436, 0.25158837246671156)),
+    (None, 1.5): ((0.38271641385593985, -0.5391563412024969),
+                  (76.39165600547628, -13751.706750220674),
+                  (254.64694941929068, -152789.60945048975),
+                  (5.3192185474187343e-17, -2.1276873856957558e-20),
+                  (159.15401203700424, -0.871431190692506)),
+    (None, 2.3): ((0.29387772497873377, -0.5628716061387574),
+                  (76.38522550833491, -13753.351180525726),
+                  (254.64458922527555, -152791.68458267162),
+                  (1.4668040655012685e-23, -8.214102645698865e-27),
+                  (159.1517366285723, -2.968765417383531)),
+}
+
+
+def test_closed_forms_match_frozen_mpmath():
+    # piece 12 is P_cl W^a, piece 13 P_cl (W^a - 1) and the whole kernel a
+    # 2F1; the angular rules they replaced were off by up to 1.1 (relative)
+    # at x/t = 1000 and 1.3 at t/x = 1e4
+    for (piece, a), rows in MPMATH_CLOSED_FORMS.items():
+        for (t, x, y), (value, dt) in zip(CLOSED_FORM_POINTS, rows):
+            if piece is None:
+                got = (kn.poisson_bessel(a, t, x, y), kn.dt_poisson_bessel(a, t, x, y))
+            else:
+                got = (kn.poisson_bessel_piece(piece, a, t, x, y),
+                       kn.dt_poisson_bessel_piece(piece, a, t, x, y))
+            assert float(got[0]) == pytest.approx(value, rel=1e-13)
+            # the 2F1 form's dt is a difference that cancels at a sign change
+            rel = 1e-9 if piece is None and (t, x, y) == SIGN_CHANGE else 1e-13
+            assert float(got[1]) == pytest.approx(dt, rel=rel)
+
+
+# (alpha, t): (value, dt) of the whole kernel at x = y = 1, where scipy's
+# real-argument hyp2f1 returns inf for G_1 (alpha = 3.1) or is off by 2.4e-8
+# for G_2 (alpha = 2.1); mpmath as for MPMATH_CLOSED_FORMS
+MPMATH_REAL_HYP2F1_FAILS = {
+    (3.1, 1e-4): (3183.0979354050487, -31830996.846609075),
+    (2.1, 0.025): (12.695298317474112, -510.41221763044354),
+}
+
+
+def test_bessel_kernel_where_real_hyp2f1_fails():
+    for (a, t), (value, dt) in MPMATH_REAL_HYP2F1_FAILS.items():
+        assert float(kn.poisson_bessel(a, t, 1.0, 1.0)) == pytest.approx(value, rel=1e-13)
+        assert float(kn.dt_poisson_bessel(a, t, 1.0, 1.0)) == pytest.approx(dt, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [1000.0, 9100.0])
+def test_dt_piece_thirteen_matches_mpmath_at_large_times(t):
+    # t/x up to 9,100, where the (pi/2, inf) integral of the flattened
+    # integrand peaks at th ~ sqrt(A/xy), far above pi/2; the angular rule it
+    # replaced was off by 4.0e-2 and 1.4 here.  mpmath at 30 digits, the
+    # integrand scaled by A^p (of order 1 here), split at 16^k sqrt(A/xy)
+    a, x, y = 1.5, 1.0, 0.501
+    with mpmath.workdps(30):
+        big_a = (mpmath.mpf(x) - y) ** 2 + mpmath.mpf(t) ** 2
+        width = mpmath.sqrt(big_a / (x * y))
+        cuts = [mpmath.pi / 2] + [width * 16.0 ** k for k in range(-3, 1)
+                                  if width * 16.0 ** k > mpmath.pi / 2] + [mpmath.inf]
+
+        def tail(p):
+            return mpmath.quad(lambda th: th ** (2 * a - 1) * (1 + x * y * th * th / big_a) ** -p,
+                               cuts) / big_a ** p
+
+        expect = float(-2 * a / mpmath.pi * (x * y) ** a
+                       * (tail(a + 1) - 2 * (a + 1) * t * t * tail(a + 2)))
+    assert float(kn.dt_poisson_bessel_piece("13", a, t, x, y)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_piece_one_plus_mirror_recovers_full():
