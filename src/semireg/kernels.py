@@ -9,9 +9,10 @@ half-line.
 Every Poisson kernel function takes a time or a 1-D array of times; an
 array gives one kernel per time along a new leading (lag) axis.  Classical
 Poisson kernels are closed forms; so are the Bessel kernel (a 2F1) and its
-elementary split pieces "12" and "13".  Bessel pieces "1" and "11" are
-angular quadratures (_bessel_angular).  The oscillator Poisson kernels are
-Bochner subordinations of their closed-form heat kernels,
+elementary split pieces "12" and "13".  Bessel pieces "1", "11" and "2" are
+angular quadratures with a node count per time (_bessel_angular).  The
+oscillator Poisson kernels are Bochner subordinations of their closed-form
+heat kernels,
 
     P_t = int_0^inf t u^{-3/2} e^{-t^2/4u} / (2 sqrt(pi)) W_u du,
 
@@ -66,8 +67,8 @@ __all__ = [
 
 _VARIANTS = ("classical", "bessel", "hermite", "laguerre")
 
-#: Gauss-Jacobi nodes of the angular Bessel pieces "1", "11" and "2"
-THETA_NODES = 96
+# angular Gauss-Jacobi nodes built and contracted at once: bounds a call's memory
+_NODE_BLOCK = 96
 
 # log-u subordination lattice: panel k covers log10 u in (k/4, (k+1)/4).
 # The first panel holds min(t)^2/160, where e^{-t^2/4u} = e^{-40}; the last
@@ -186,43 +187,56 @@ def heat_classical(t, z, diffusion: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-_PIECES = ("1", "11", "12", "13")
+_PIECES = ("1", "11", "12", "13", "2")
 
 
 def _bessel_angular(piece: str, alpha: float, t, x, y, dt: bool):
-    """Piece "1" or "11", or the obtuse half "2" of the kernel (private; "1"
-    + "2" is the kernel), or its t-derivative: (2a/pi) (xy)^a t J1, or
-    (2a/pi) (xy)^a (J1 - 2(a+1) t^2 J2), J1 and J2 the integrals over
-    (0, pi/2) of weight(th) D^{-(a+1)} and weight(th) D^{-(a+2)}, where
-    D = (x-y)^2 + t^2 + 2xy(1 - cos th), weight (sin th)^{2a-1} ("11":
-    th^{2a-1}, carried by the Gauss-Jacobi rule) and "2" takes th -> pi - th.
-    The base D - t^2 is built once; each time adds its t^2 in a buffer, takes
-    the power in place and contracts the nodes in one matrix-vector product.
+    """Piece "1" or "11", or the obtuse half "2" ("1" + "2" is the kernel), or
+    its t-derivative: (2a/pi) (xy)^a t J1, or (2a/pi) (xy)^a (J1 - 2(a+1) t^2
+    J2), J1 and J2 the integrals over (0, pi/2) of weight(th) D^{-(a+1)} and
+    weight(th) D^{-(a+2)}, D = (x-y)^2 + t^2 + 4xy sin^2(th/2), weight (sin
+    th)^{2a-1} ("11": th^{2a-1}, carried by the Gauss-Jacobi rule); "2" takes
+    th -> pi - th.  D = 0 at th = i s ("2": pi + i s), cosh s = 1 + A/2xy,
+    which is c + ib, b = 4s/pi, c = -1 ("2": 3) once (0, pi/2) is mapped onto
+    (-1, 1).  Gauss error falls like rho^{-2n}, log rho = arccosh((|c+ib+1| +
+    |c+ib-1|)/2) (Trefethen, ATAP Thm 19.3), so a time takes n = 18.4/log rho
+    nodes for its nearest pair, up to a multiple of 8 and at least 12.  Times
+    with one n share the base D - t^2, built and contracted _NODE_BLOCK nodes
+    at a time so memory does not grow with n.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grid = np.broadcast(x, y).shape
-    n = THETA_NODES
+    xy, dd = (x * y).ravel(), ((x - y) ** 2).ravel()
+    q = np.array([np.min((dd + s * s) / (2.0 * xy), initial=np.inf) for s in times])
+    b = (4.0 / math.pi) * np.arccosh(1.0 + q)
+    c = 3.0 if piece == "2" else -1.0
+    log_rho = np.arccosh(0.5 * (np.hypot(c + 1.0, b) + np.hypot(c - 1.0, b)))
+    counts = np.maximum(12, 8 * np.ceil(18.4 / (8.0 * log_rho)).astype(int))
     beta = 2.0 * alpha - 1.0
-    th, w = gauss_jacobi_rule(beta, math.pi / 2.0, n)
-    if piece != "11":
-        w = w * (np.sin(th) / th) ** beta
-    angle = (math.pi - th if piece == "2" else th).reshape((n,) + (1,) * len(grid))
-    base = x * y * (2.0 * (1.0 - np.cos(angle))) + (x - y) ** 2
     p = alpha + 1.0
-    j = np.empty((1 + dt, times.size, math.prod(grid)))
-    d = np.empty_like(base)
-    power = np.empty_like(d)
-    for k, s in enumerate(times):
-        np.add(base, s * s, out=d)
-        # one power per node: D^{-(a+2)} is D^{-(a+1)} / D
-        np.power(d, -p, out=power)
-        j[0, k] = w @ power.reshape(n, -1)
-        if dt:
-            power /= d
-            j[1, k] = w @ power.reshape(n, -1)
-    pref = (2.0 * alpha / math.pi) * (x * y).ravel() ** alpha
+    j = np.zeros((1 + dt, times.size, xy.size))
+    buf = np.empty((3, min(_NODE_BLOCK, counts.max()), xy.size))
+    for n in np.unique(counts):
+        th, w = gauss_jacobi_rule(beta, math.pi / 2.0, int(n))
+        if piece != "11":
+            w = w * (np.sin(th) / th) ** beta
+        half = 0.5 * (math.pi - th if piece == "2" else th)
+        for lo in range(0, n, _NODE_BLOCK):
+            wb = w[lo:lo + _NODE_BLOCK]
+            base, d, power = buf[:, :wb.size]
+            np.multiply(4.0 * np.sin(half[lo:lo + wb.size, None]) ** 2, xy, out=base)
+            base += dd
+            for k in np.flatnonzero(counts == n):
+                np.add(base, times[k] ** 2, out=d)
+                # one power per node: D^{-(a+2)} is D^{-(a+1)} / D
+                np.power(d, -p, out=power)
+                j[0, k] += wb @ power
+                if dt:
+                    power /= d
+                    j[1, k] += wb @ power
+    pref = (2.0 * alpha / math.pi) * xy ** alpha
     tt = times[:, None]
     out = pref * (j[0] - 2.0 * p * tt * tt * j[1]) if dt else pref * tt * j[0]
     return out.reshape(times.shape + grid if np.ndim(t) else grid)
@@ -310,11 +324,15 @@ def poisson_bessel_piece(piece, alpha: float, t, x, y):
     "11" sine weight replaced by its power of theta;
     "12" denominator flattened to (x-y)^2 + t^2 + xy theta^2;
     "13" the (negative) remainder integral over theta in (pi/2, infinity)
-         that restores the classical kernel: piece "12" = classical + "13".
+         that restores the classical kernel: piece "12" = classical + "13";
+    "2"  the obtuse half, over (pi/2, pi): "1" + "2" is the kernel.
 
-    "1" and "11" are quadratures.  w = xy th^2/(A + xy th^2) makes "12" and
-    "13" elementary: with A = (x-y)^2 + t^2, W = xyS/(A + xyS), S = pi^2/4
-    and the classical kernel P = t/(pi A), "12" = P W^a and "13" = P (W^a - 1),
+    "1", "11" and "2" are quadratures with a node count per time; at x = y,
+    x/t up to 1000 and a = 0.55, 1.5, 2.3, "1" and "11" are within 1e-10
+    relative of 30-digit quadrature, value and t-derivative.  w = xy th^2/(A
+    + xy th^2) makes "12" and "13" elementary: with A = (x-y)^2 + t^2, W =
+    xyS/(A + xyS), S = pi^2/4 and the classical kernel P = t/(pi A), "12" =
+    P W^a and "13" = P (W^a - 1),
     W^a - 1 = expm1(-a log1p(A/(xyS))); their t-derivatives subtract
     2a t W^a P/(A + xyS) from P' W^a and P' (W^a - 1).  Value and derivative
     are within 1e-15 relative of 30-digit quadrature for x/t in [2, 1000]

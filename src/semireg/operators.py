@@ -43,7 +43,6 @@ from .kernels import (
     poisson_bessel_piece,
     poisson_classical,
     poisson_kernel_grid,
-    _bessel_kernel,
     _subordinate,
 )
 from .quad import Grid1D, SpaceTimeGrid, gauss_legendre_panels, gauss_legendre_rule
@@ -505,19 +504,22 @@ def difference_local_pieces(alpha: float, f: SampledField, delta_steps: int = 2)
     """Piecewise split of the half-line local difference operator.
 
     Returns fields keyed d1, d2, d3, k2 (the angular-replacement error, the
-    denominator-flattening error, the restored tail piece, and the obtuse-
-    angle part) whose sum telescopes to the full local difference.
+    denominator-flattening error, the restored tail piece, and the obtuse
+    half "2" of the kernel) whose sum telescopes to the full local
+    difference.  Piece 1 is never built: d1 is the whole kernel (cached for
+    the global operator too) minus "2" and "11", and "2", whose integrand
+    is smooth on its half, converges at few nodes.
     """
     if f.grid.space.domain != "half-line":
         raise DomainError("piece split lives on the half-line")
     w = local_region_matrix(f.grid.space)
-    p = {s: _family_bessel_piece(alpha, s, m) for s, m in (("1", 1.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
+    p = {s: _family_bessel_piece(alpha, s, m) for s, m in (("2", 0.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
     full = _family_for(KernelSetting("bessel", alpha=alpha))
     fams = {
-        "d1": _family_difference(p["1"], p["11"]),
+        "d1": _family_difference(_family_difference(full, p["2"]), p["11"]),
         "d2": _family_difference(p["11"], p["12"]),
         "d3": p["13"],
-        "k2": _family_difference(full, p["1"]),
+        "k2": p["2"],
     }
     return {k: _weighted_apply(fam, f, w, delta_steps) for k, fam in fams.items()}
 
@@ -794,7 +796,7 @@ def estimate_catalog(alpha: float = 1.5) -> list:
         ),
         EstimateRecord(
             identifier="bessel-dt-piece2",
-            lhs=lambda u, x, y: np.abs(_bessel_kernel("2", alpha, u, x, y, dt=True)),
+            lhs=lambda u, x, y: np.abs(dt_poisson_bessel_piece("2", alpha, u, x, y)),
             rhs=lambda u, x, y: 1.0 / (u * u + x * x),
             region=_band_region,
             anchor="obtuse-angle kernel piece decays off the band like the origin envelope",

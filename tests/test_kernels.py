@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -289,7 +290,7 @@ def test_pieces_vanish_at_small_time():
 def test_piece_rejects_unknown():
     # "full" labels the whole kernel inside the module; it is not a piece
     for fn in (kn.poisson_bessel_piece, kn.dt_poisson_bessel_piece):
-        for label in ("7", "full", "2", ""):
+        for label in ("7", "full", ""):
             with pytest.raises(DomainError):
                 fn(label, 0.8, 0.5, 1.0, 1.0)
 
@@ -306,8 +307,50 @@ def test_dt_obtuse_half_matches_mpmath(t, x, y):
                 [mpmath.pi / 2, mpmath.pi])
         expect = float(2 * a / mpmath.pi * (x * y) ** a
                        * (sums(a + 1) - 2 * (a + 1) * t * t * sums(a + 2)))
-    got = float(kn._bessel_kernel("2", a, t, x, y, dt=True))
+    got = float(kn.dt_poisson_bessel_piece("2", a, t, x, y))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+# piece 11, (value, dt) at x = y = 1, keyed (alpha, x/t), by mpmath at 30
+# digits: quad of th^{2a-1} (A + 4xy sin^2(th/2))^{-p} over (0, pi/2),
+# p = a + 1 and a + 2, split at 0, r, 2r, 4r, ... < pi/2 with
+# r = sqrt(A/xy); 40 digits and splits at 1.5^k r agree to all 17 shown
+MPMATH_PIECE11_LARGE_X_OVER_T = {
+    (0.55, 300): (95.493573509698468, -28647.752687225413),
+    (0.55, 1000): (318.31012293195965, -318309.69466223025),
+    (1.5, 300): (95.49594787571858, -28647.194101105691),
+    (1.5, 1000): (318.31102031636983, -318308.95099578428),
+    (2.3, 300): (95.49923024206023, -28646.413127457535),
+    (2.3, 1000): (318.31225030659181, -318307.92472602616),
+}
+
+
+@pytest.mark.parametrize("a, ratio", list(MPMATH_PIECE11_LARGE_X_OVER_T))
+def test_angular_pieces_at_large_x_over_t(a, ratio):
+    # the integrand peaks in a width t/sqrt(xy) at th = 0, which the node
+    # count must resolve; piece 1 is checked against the closed kernel minus
+    # the obtuse half, whose integrand is smooth on its range
+    t, x, y = 1.0 / ratio, 1.0, 1.0
+    value, dt = MPMATH_PIECE11_LARGE_X_OVER_T[(a, ratio)]
+    assert float(kn.poisson_bessel_piece("11", a, t, x, y)) == pytest.approx(value, rel=1e-9)
+    assert float(kn.dt_poisson_bessel_piece("11", a, t, x, y)) == pytest.approx(dt, rel=1e-9)
+    for one, full in ((kn.poisson_bessel_piece, kn.poisson_bessel),
+                      (kn.dt_poisson_bessel_piece, kn.dt_poisson_bessel)):
+        expect = float(full(a, t, x, y)) - float(one("2", a, t, x, y))
+        assert float(one("1", a, t, x, y)) == pytest.approx(expect, rel=1e-9)
+
+
+def test_angular_piece_memory_is_bounded_at_small_time():
+    # t = 1e-4 against x in (0.5, 2) takes about 1,600 nodes; building
+    # them all at once would hold about 560 MB of node-by-pair arrays
+    x = np.linspace(0.5, 2.0, 100)
+    tracemalloc.start()
+    try:
+        kn.dt_poisson_bessel_piece("11", 1.5, 1e-4, x[:, None], x[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # values of the angular (Bessel) and subordinated (oscillator) kernels at
@@ -541,6 +584,8 @@ def test_bessel_functions_stack_one_kernel_per_time(piece):
             for bad in (np.array([[0.2, 0.5]]), np.array([]), np.array([0.2, -1.0])):
                 with pytest.raises(DomainError):
                     fn(a, bad, X, Y)
+            # no node pairs: an empty kernel per time
+            assert fn(a, times, x[:0], x[:0]).shape == (3, 0)
 
 
 # Laguerre (alpha = 1.5) at x = 1, y = 1.2 by mpmath at 30 digits, as for

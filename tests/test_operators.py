@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semireg import operators
 from semireg.covering import build_covering, localized_operator_T, multiplicity_matrix
 from semireg.errors import DomainError
 from semireg.kernels import (
@@ -22,6 +23,7 @@ from semireg.operators import (
     _family_reflected,
     _kernel_tensors,
     _Term,
+    _weighted_apply,
     EstimateRecord,
     SampledField,
     apply_difference_local,
@@ -271,11 +273,11 @@ class TestApplyK:
 
     @pytest.mark.parametrize("term, on_line", [
         (_Term(BESSEL), False),
-        *[(_Term(BESSEL, piece), False) for piece in ("1", "11", "12", "13")],
+        *[(_Term(BESSEL, piece), False) for piece in ("1", "11", "12", "13", "2")],
         (_Term(CL, reflected=True), True),
         (_Term(HERMITE, reflected=True), True),
-    ], ids=["bessel", "piece1", "piece11", "piece12", "piece13", "classical-reflected",
-            "hermite-reflected"])
+    ], ids=["bessel", "piece1", "piece11", "piece12", "piece13", "piece2",
+            "classical-reflected", "hermite-reflected"])
     def test_tensor_slices_are_symmetric_full_grid_kernels(self, term, on_line):
         grid = line_grid(nt=12, n_half=16) if on_line else half_grid(nt=16, nx=24)
         stack, q = _kernel_tensors(term, grid, 2)
@@ -370,10 +372,12 @@ def _dense_apply(family, f, weight=None, delta_steps=2):
 
 
 def _piece_families(alpha):
+    # d1 is the whole kernel minus the obtuse half "2" and piece 11; k2 is "2"
     p = {s: _family_bessel_piece(alpha, s, m)
-         for s, m in (("1", 1.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
-    return {"d1": _family_difference(p["1"], p["11"]), "d2": _family_difference(p["11"], p["12"]),
-            "d3": p["13"], "k2": _family_difference(_family_for(BESSEL), p["1"])}
+         for s, m in (("2", 0.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
+    full = _family_for(KernelSetting("bessel", alpha=alpha))
+    return {"d1": _family_difference(_family_difference(full, p["2"]), p["11"]),
+            "d2": _family_difference(p["11"], p["12"]), "d3": p["13"], "k2": p["2"]}
 
 
 def _local(f):
@@ -431,6 +435,17 @@ class TestApplyAgainstDenseReference:
         stacked = np.concatenate(
             [call(f.with_values(f.values[:, :, k:k + 1])).values for k in range(5)], axis=2)
         assert _normwise(call(f).values, stacked) <= 1e-14
+
+    @pytest.mark.parametrize("k", ["d1", "k2"])
+    def test_piece_split_matches_angular_piece_one(self, k):
+        # d1 and k2 through the angular piece 1: d1 = "1" - "11", k2 = whole - "1"
+        one, eleven = (_family_bessel_piece(1.5, s, 1.0) for s in ("1", "11"))
+        old = {"d1": _family_difference(one, eleven),
+               "k2": _family_difference(_family_for(BESSEL), one)}[k]
+        f = _kind_field(self.grids["half"], 1)
+        got = difference_local_pieces(1.5, f)[k].values
+        expect = _weighted_apply(old, f, _local(f))
+        assert _normwise(got, expect.values) <= 1e-11
 
     @pytest.mark.parametrize("kind", ["full-bessel", "global-bessel", "bessel-d1"])
     def test_off_benchmark_shape(self, kind):
@@ -671,6 +686,20 @@ class TestEstimateCatalog:
         )
         rep = estimate_ratio_supremum(rec, levels=2)
         assert rep.series["sup_ratio"] == [1.0, 1.0]
+
+    def test_obtuse_piece_record_calls_the_public_kernel(self, monkeypatch):
+        # the tracer wraps public kernel functions; the record's angular work
+        # must pass through one of them to be counted as kernel work
+        calls = []
+
+        def traced(piece, *args):
+            calls.append(piece)
+            return dt_poisson_bessel_piece(piece, *args)
+
+        monkeypatch.setattr(operators, "dt_poisson_bessel_piece", traced)
+        rec = next(r for r in estimate_catalog() if r.identifier == "bessel-dt-piece2")
+        rec.lhs(0.5, np.array([1.0, 1.2]), np.array([0.9, 1.5]))
+        assert calls == ["2"]
 
     def test_d1d2_lhs_matches_four_piece_calls(self):
         rng = np.random.default_rng(17)
