@@ -35,7 +35,6 @@ from scipy.special import gammaln, hyp2f1
 from .errors import DomainError
 from .quad import (
     IntegrationResult,
-    QuadratureRule,
     gauss_jacobi_rule,
     gauss_legendre_rule,
     integrate_subordination,
@@ -433,15 +432,14 @@ def heat_kernel(setting: KernelSetting, t, x, y):
     return heat_laguerre(setting.alpha, t, x, y)
 
 
-def poisson_via_subordination(
-    setting: KernelSetting, t: float, x: float, y: float, rule: QuadratureRule | None = None
-) -> IntegrationResult:
-    """Poisson kernel obtained from the setting's heat kernel by subordination."""
+def poisson_via_subordination(setting: KernelSetting, t: float, x: float, y: float) -> IntegrationResult:
+    """Poisson kernel obtained from the setting's heat kernel by adaptive
+    subordination (quad.integrate_subordination)."""
 
     def g(u):
         return float(heat_kernel(setting, u, x, y))
 
-    return integrate_subordination(g, t, rule=rule)
+    return integrate_subordination(g, t)
 
 
 def _log_u_rule(t_min: float, level: int = 0):

@@ -87,32 +87,24 @@ def integrate_or_raise(f, a, b, rule: QuadratureRule | None = None, points=None)
     return res.value
 
 
-def integrate_subordination(g, t: float, rule: QuadratureRule | None = None, substitute: bool = True) -> IntegrationResult:
+def integrate_subordination(g, t: float) -> IntegrationResult:
     """Subordination integral  (t/sqrt(4 pi)) * int_0^inf u^{-3/2} e^{-t^2/4u} g(u) du.
 
-    With substitute=True the variable change u = t^2/(4 w^2) removes the
-    endpoint singularity exactly, turning the integral into
-    (2/sqrt(pi)) * int_0^inf e^{-w^2} g(t^2/(4 w^2)) dw.
+    The variable change u = t^2/(4 w^2) removes the endpoint singularity
+    exactly, turning the integral into
+    (2/sqrt(pi)) * int_0^inf e^{-w^2} g(t^2/(4 w^2)) dw, integrated
+    adaptively with the default tolerances.
     """
     if t <= 0.0:
         raise DomainError(f"subordination requires t > 0, got {t}")
-    rule = rule or DEFAULT_RULE
-    if substitute:
-        c = 2.0 / math.sqrt(math.pi)
+    c = 2.0 / math.sqrt(math.pi)
 
-        def integrand(w):
-            if w == 0.0:
-                return 0.0
-            return math.exp(-w * w) * g(t * t / (4.0 * w * w))
+    def integrand(w):
+        if w == 0.0:
+            return 0.0
+        return math.exp(-w * w) * g(t * t / (4.0 * w * w))
 
-        res = integrate(integrand, 0.0, np.inf, rule=rule)
-        return IntegrationResult(c * res.value, c * res.error, res.converged)
-    c = t / math.sqrt(4.0 * math.pi)
-
-    def integrand_u(u):
-        return u ** (-1.5) * math.exp(-t * t / (4.0 * u)) * g(u)
-
-    res = integrate(integrand_u, 0.0, np.inf, rule=rule)
+    res = integrate(integrand, 0.0, np.inf)
     return IntegrationResult(c * res.value, c * res.error, res.converged)
 
 
@@ -234,9 +226,6 @@ def grid_integrate(values, grid: Grid1D) -> float:
 # Fixed nodes for kernel tensor assembly
 # ---------------------------------------------------------------------------
 
-_gj_cache: dict = {}
-
-
 @functools.cache
 def _legendre_reference(n: int):
     """Read-only Gauss-Legendre nodes/weights on (-1, 1)."""
@@ -261,21 +250,24 @@ def gauss_legendre_rule(a: float, b: float, n: int):
     return gauss_legendre_panels((a, b), n)
 
 
+@functools.cache
+def _jacobi_reference(beta: float, b: float, n: int):
+    """Read-only Gauss-Jacobi nodes/weights on (0, b) for the weight theta^beta."""
+    x, w = scipy.special.roots_jacobi(n, 0.0, beta)
+    # map (-1,1) with weight (1+x)^beta onto (0,b) with weight theta^beta
+    theta = 0.5 * b * (x + 1.0)
+    weights = w * (0.5 * b) ** (beta + 1.0)
+    theta.flags.writeable = weights.flags.writeable = False
+    return theta, weights
+
+
 def gauss_jacobi_rule(beta: float, b: float, n: int):
     """Nodes/weights for integrals  int_0^b theta^beta f(theta) dtheta  with smooth f.
 
     Gauss-Jacobi with the algebraic weight at the left endpoint; exactness is
-    spectral in n for smooth f, for every beta > -1.
+    spectral in n for smooth f, for every beta > -1.  The arrays are cached,
+    shared between callers, and read-only.
     """
     if beta <= -1.0:
         raise DomainError("need beta > -1")
-    key = (round(beta, 12), round(b, 14), n)
-    if key not in _gj_cache:
-        x, w = scipy.special.roots_jacobi(n, 0.0, beta)
-        # map (-1,1) with weight (1+x)^beta onto (0,b) with weight theta^beta
-        theta = 0.5 * b * (x + 1.0)
-        weights = w * (0.5 * b) ** (beta + 1.0)
-        # shared between callers, so read-only
-        theta.flags.writeable = weights.flags.writeable = False
-        _gj_cache[key] = (theta, weights)
-    return _gj_cache[key]
+    return _jacobi_reference(beta, b, n)

@@ -243,6 +243,32 @@ def test_bessel_kernel_where_real_hyp2f1_fails():
         assert float(kn.dt_poisson_bessel(a, t, 1.0, 1.0)) == pytest.approx(dt, rel=1e-13)
 
 
+# (alpha, t, x, y): (value, dt) of the whole kernel at the ends of the
+# documented range 0.02 <= alpha <= 10, by mpmath at 40 digits in the plain
+# form P = (2a/pi) (xy)^a t J(a+1), dt P = (2a/pi) (xy)^a (J(a+1) - 2(a+1)
+# t^2 J(a+2)), J(mu) = B(a, 1/2) s^-mu 2F1(mu/2, (mu+1)/2; a+1/2; (2xy/s)^2),
+# s = (x-y)^2 + t^2 + 2xy, with mpmath's own hyp2f1 (an angular quadrature
+# split only at pi/2 is itself off by 1.8% at alpha = 0.02)
+MPMATH_ALPHA_ENDS = {
+    (0.02, 0.5, 1.0, 1.0): (0.6752676188815733, -1.2080652148012896),
+    (0.02, 1.0 / 300.0, 1.0, 1.0): (95.49329188008073, -28647.795069035055),
+    (0.02, 1e-3, 1.0, 1.0): (318.3099877472397, -318309.78773982904),
+    (0.02, 0.3, 2.0, 0.9): (0.08480448521002536, 0.24786772760691142),
+    (0.02, 1e4, 1.0, 0.7): (4.4930952001505356e-05, -4.67281887158444e-09),
+    (10.0, 0.5, 1.0, 1.0): (0.01631385916658328, -0.17147392111178286),
+    (10.0, 1.0 / 300.0, 1.0, 1.0): (95.29844149812486, -28691.938318221557),
+    (10.0, 1e-3, 1.0, 1.0): (318.2342907589555, -318371.1594109928),
+    (10.0, 0.3, 2.0, 0.9): (9.524132997907239e-05, 0.00011545751308978218),
+    (10.0, 1e4, 1.0, 0.7): (1.0206146879338147e-85, -2.1432908112052622e-88),
+}
+
+
+def test_bessel_kernel_at_the_ends_of_the_alpha_range():
+    for (a, t, x, y), (value, dt) in MPMATH_ALPHA_ENDS.items():
+        assert float(kn.poisson_bessel(a, t, x, y)) == pytest.approx(value, rel=1e-13)
+        assert float(kn.dt_poisson_bessel(a, t, x, y)) == pytest.approx(dt, rel=1e-13)
+
+
 @pytest.mark.parametrize("t", [1000.0, 9100.0])
 def test_dt_piece_thirteen_matches_mpmath_at_large_times(t):
     # t/x up to 9,100, where the (pi/2, inf) integral of the flattened

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,20 +250,10 @@ class TestApplyK:
         diff = apply_difference_local(BESSEL, CL, f)
         assert np.max(np.abs(total - diff.values)) <= 1e-9
 
-    def test_delta_split_robustness(self):
-        grid = half_grid(nt=48, nx=64, horizon=4.0)
-        f = smooth_test_field(grid, mode=2)
-        k2 = apply_K(BESSEL, f, delta_steps=2)
-        k3 = apply_K(BESSEL, f, delta_steps=3)
-        k4 = apply_K(BESSEL, f, delta_steps=4)
-        scale = np.max(np.abs(k2.values))
-        assert np.max(np.abs(k2.values - k3.values)) <= 1e-2 * scale
-        assert np.max(np.abs(k2.values - k4.values)) <= 2.5e-2 * scale
-
     @pytest.mark.parametrize("setting", [HERMITE, LAGUERRE])
     def test_tensor_rows_equal_single_time_kernels(self, setting):
         grid = half_grid()
-        stack, q = _kernel_tensors(_Term(setting), grid, 2)
+        stack, q = _kernel_tensors(_Term(setting), grid)
         x = grid.space.nodes
         X, Y = x[:, None], x[None, :]
         for row, lag in zip(stack, np.arange(2, grid.time.n) * grid.dt):
@@ -280,7 +271,7 @@ class TestApplyK:
             "classical-reflected", "hermite-reflected"])
     def test_tensor_slices_are_symmetric_full_grid_kernels(self, term, on_line):
         grid = line_grid(nt=12, n_half=16) if on_line else half_grid(nt=16, nx=24)
-        stack, q = _kernel_tensors(term, grid, 2)
+        stack, q = _kernel_tensors(term, grid)
         x = grid.space.nodes
         X, Y = x[:, None], (-x if term.reflected else x)[None, :]
         a = BESSEL.alpha
@@ -324,13 +315,15 @@ class TestApplyK:
         with pytest.raises(DomainError):
             apply_K(BESSEL, f)
 
-    def test_delta_steps_validation(self):
-        grid = half_grid(nt=8, nx=12, horizon=1.0)
-        f = smooth_test_field(grid)
+    @pytest.mark.parametrize("setting", [BESSEL, LAGUERRE])
+    def test_short_time_grid_refused_before_any_tensor_is_built(self, setting):
+        # the near-diagonal tail's fourth-order differences need 5 time rows
+        grid = half_grid(nt=4, nx=12, horizon=1.0)
+        f = SampledField(grid, np.outer(np.ones(4), np.hanning(12)), space_margin=1)
+        cached = len(operators._tensor_cache)
         with pytest.raises(DomainError):
-            apply_K(BESSEL, f, delta_steps=0)
-        with pytest.raises(DomainError):
-            apply_K(BESSEL, f, delta_steps=8)
+            apply_K(setting, f)
+        assert len(operators._tensor_cache) == cached
 
     def test_domain_checks(self):
         line = line_grid(nt=8, n_half=12, horizon=1.0)
@@ -347,12 +340,12 @@ class TestApplyK:
             apply_K_minus(CL, f_line)
 
 
-def _dense_apply(family, f, weight=None, delta_steps=2):
+def _dense_apply(family, f, weight=None):
     """Reference apply: the family's signed, weighted term sum materialized
     as whole stacks, contracted lag by lag with einsum in the (time, space,
-    fiber) layout."""
+    fiber) layout; the midpoint sum starts at lag 2, the tail at 1.5 dt."""
     dt, nt = f.grid.dt, f.n_time
-    parts = [(sign, _kernel_tensors(term, f.grid, delta_steps)) for sign, term in family.terms]
+    parts = [(sign, _kernel_tensors(term, f.grid)) for sign, term in family.terms]
     stack = sum(sign * s for sign, (s, _) in parts)
     q = sum(sign * v for sign, (_, v) in parts)
     diag = np.ones(f.n_space)
@@ -360,12 +353,12 @@ def _dense_apply(family, f, weight=None, delta_steps=2):
         stack, q, diag = stack * weight, q * weight, np.diag(weight)
     wy = f.grid.space.cell_widths()[None, :, None]
     out = np.zeros_like(f.values)
-    for m in range(delta_steps, nt):
-        kern = stack[m - delta_steps]
+    for m in range(2, nt):
+        kern = stack[m - 2]
         out[m:] += dt * np.einsum("xy,tyf->txf", kern, wy * f.values[: nt - m], optimize=True)
     g = time_derivative(f.values, dt)
     mass = family.identity_mass * diag[None, :, None]
-    delta = (delta_steps - 0.5) * dt
+    delta = 1.5 * dt
     out += np.einsum("xy,tyf->txf", q, wy * f.values, optimize=True) - mass * f.values
     out -= (delta / 2.0) * (np.einsum("xy,tyf->txf", q, wy * g, optimize=True) - mass * g)
     return out
@@ -645,7 +638,8 @@ class TestEstimateCatalog:
             r for r in estimate_catalog() if r.identifier == "laguerre-regime-large-u-large-xi"
         )
         with pytest.raises(DomainError):
-            estimate_ratio_supremum(rec, levels=1, box=((4.2, 5.0), (0.05, 1.0), (0.05, 1.0)))
+            estimate_ratio_supremum(dataclasses.replace(rec, box=((4.2, 5.0), (0.05, 1.0), (0.05, 1.0))),
+                                    levels=1)
 
     def test_negative_rhs_raises(self):
         bad = EstimateRecord(

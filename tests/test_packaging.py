@@ -1,8 +1,12 @@
-"""Every console script that pyproject.toml declares can be imported."""
+"""Every console script that pyproject.toml declares can be imported, and every
+name a semireg module exports exists."""
 
 import importlib
+import pkgutil
 import tomllib
 from pathlib import Path
+
+import semireg
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -22,3 +26,14 @@ def test_every_declared_script_imports():
         if not callable(obj):
             broken.append(f"{name} = {target}: not callable")
     assert not broken
+
+
+def test_every_all_entry_resolves():
+    # the benchmark tracer hooks every name in a layer's __all__ and skips
+    # a name that does not resolve, so a stale entry would drop a hook
+    stale = []
+    for info in pkgutil.iter_modules(semireg.__path__):
+        module = importlib.import_module(f"semireg.{info.name}")
+        stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert not stale

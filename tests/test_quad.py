@@ -55,13 +55,6 @@ def test_subordination_reproduces_classical_poisson():
             assert res.value == pytest.approx(expect, abs=1e-12)
 
 
-def test_subordination_direct_path_agrees():
-    g = lambda u: math.exp(-1.0 / (4.0 * u)) / math.sqrt(4.0 * math.pi * u)
-    a = integrate_subordination(g, 0.8, substitute=True)
-    b = integrate_subordination(g, 0.8, substitute=False)
-    assert a.value == pytest.approx(b.value, abs=1e-10)
-
-
 def test_uniform_grid_is_cell_centered():
     g = Grid1D.uniform(0.0, 1.0, 4, domain="half-line")
     assert np.allclose(g.nodes, [0.125, 0.375, 0.625, 0.875])
