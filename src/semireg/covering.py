@@ -98,16 +98,6 @@ class Covering:
     def count(self) -> int:
         return int(self.centers.size)
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "dilation": self.dilation,
-            "overlap_bound": self.overlap_bound,
-            "count": self.count,
-            "centers": [float(c) for c in self.centers],
-            "radii": [float(r) for r in self.radii],
-        }
-
 
 def _max_overlap(centers: np.ndarray, radii: np.ndarray) -> int:
     """Exhaustive max cardinality of dilated-ball intersections, chunked."""

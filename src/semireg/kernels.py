@@ -187,6 +187,8 @@ def heat_classical(t, z, diffusion: float = 1.0):
 
 
 _PIECES = ("1", "11", "12", "13", "2")
+# alphas where hyp2f1 gives the whole kernel to 1e-14 (see poisson_bessel)
+_HYP2F1_ALPHAS = (0.02, 10.0)
 
 
 def _bessel_angular(piece: str, alpha: float, t, x, y, dt: bool):
@@ -254,6 +256,9 @@ def _bessel_closed(piece: str, alpha: float, t, x, y, dt: bool):
     d = x - y
     big_a = d * d + t * t
     if piece == "full":
+        lo, hi = _HYP2F1_ALPHAS
+        if not lo <= alpha <= hi:
+            raise DomainError(f"the whole Bessel kernel needs {lo:g} <= alpha <= {hi:g}, got {alpha:g}")
         s = big_a + 2.0 * x * y
         h = s / (big_a * (big_a + 4.0 * x * y))  # 1 / (s (1 - z)), 1 - z formed exactly
         z = (2.0 * x * y / s) ** 2 + 0j  # on scipy's complex branch
@@ -301,12 +306,13 @@ def poisson_bessel(alpha: float, t, x, y):
     G_k = 2F1((a+1-k)/2, (a-k)/2; a+1/2; z), scipy's hyp2f1 on its complex
     branch.  G_k is within 1e-14 relative of mpmath for 0.02 <= a <= 10 and
     0 <= z <= 1 - 1e-16; past a = 12 its error grows (2e-12 at a = 20, 1e-8
-    at a = 40), and DomainError is raised where it is not finite.  (The real
-    branch is off by up to 2e-5, or infinite, near z = 1 for some a; the
-    untransformed 2F1 loses eps/(1 - z).)  Kernel and t-derivative are
-    within 2e-14 relative of 30-digit quadrature for x/t in [2, 1000] and at
-    t/x = 1e4; near the derivative's sign change, |x - y| ~ t, its error is
-    that of the difference (2e-10 relative at x/t = 1000, y - x = t).
+    at a = 40).  DomainError is raised for a outside [0.02, 10], and where
+    G_k is not finite.  (The real branch is off by up to 2e-5, or infinite,
+    near z = 1 for some a; the untransformed 2F1 loses eps/(1 - z).)
+    Kernel and t-derivative are within 2e-14 relative of 30-digit
+    quadrature for x/t in [2, 1000] and at t/x = 1e4; near the derivative's
+    sign change, |x - y| ~ t, its error is that of the difference (2e-10
+    relative at x/t = 1000, y - x = t).
     """
     return _bessel_kernel("full", alpha, t, x, y, dt=False)
 

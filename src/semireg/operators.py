@@ -745,13 +745,6 @@ class SweepReport:
     def stabilized(self, name: str, threshold: float) -> bool:
         return self.max_growth(name) <= threshold
 
-    def to_dict(self) -> dict:
-        return {
-            "identifier": self.identifier,
-            "levels": list(self.levels),
-            "series": {k: list(map(float, v)) for k, v in sorted(self.series.items())},
-        }
-
 
 def _band_region(u, x, y):
     return (y > x / 2.0) & (y < 2.0 * x)

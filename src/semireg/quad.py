@@ -1,8 +1,11 @@
 """Quadrature rules, grids, and the subordination integral.
 
-Adaptive integration wraps scipy.integrate.quad behind a small result type
-that always carries an error estimate and a convergence flag; composite
-grid rules are plain weighted sums so operator identities stay exact.
+Adaptive integration wraps scipy.integrate.quad (QUADPACK, imported on the
+first call of `integrate`) behind a small result type that always carries
+an error estimate and a convergence flag.  The subordination integral has
+its own nested double-exponential rule in numpy, so importing this module
+loads neither scipy.integrate nor the packages it pulls in.  Composite grid
+rules are plain weighted sums so operator identities stay exact.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+# roots_jacobi imports scipy.linalg on its first call; loading it here keeps
+# that import out of the first kernel build
+import scipy.linalg  # noqa: F401
 import scipy.special
 
 from .errors import DomainError, NonConvergenceError
@@ -69,6 +74,8 @@ def integrate(f, a: float, b: float, rule: QuadratureRule | None = None, points=
     kwargs = dict(epsabs=rule.atol, epsrel=rule.rtol, limit=rule.max_subdivisions, full_output=1)
     if points is not None and not math.isinf(b):
         kwargs["points"] = points
+    import scipy.integrate  # deferred: it loads scipy.optimize and scipy.sparse
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = scipy.integrate.quad(f, a, b, **kwargs)
@@ -87,25 +94,69 @@ def integrate_or_raise(f, a, b, rule: QuadratureRule | None = None, points=None)
     return res.value
 
 
+# double-exponential subordination rule: w = exp((pi/2) sinh s), trapezoid in s
+_DE_STEP = 0.5  # level-0 step in s
+_DE_REACH = 10  # level-0 steps at most on either side of s = 0
+_DE_LEVELS = 8  # step halvings at most
+_DE_RTOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+
+
 def integrate_subordination(g, t: float) -> IntegrationResult:
     """Subordination integral  (t/sqrt(4 pi)) * int_0^inf u^{-3/2} e^{-t^2/4u} g(u) du.
 
     The variable change u = t^2/(4 w^2) removes the endpoint singularity
     exactly, turning the integral into
-    (2/sqrt(pi)) * int_0^inf e^{-w^2} g(t^2/(4 w^2)) dw, integrated
-    adaptively with the default tolerances.
+    (2/sqrt(pi)) * int_0^inf e^{-w^2} g(t^2/(4 w^2)) dw.  With
+    w = exp((pi/2) sinh s) the integrand decays double-exponentially at both
+    ends in s, where the trapezoid rule is applied.
+
+    Truncation: at the level-0 step 0.5 each end of the s-range grows from
+    s = 0 until its term is at most eps = 2.2e-16 times the running sum, for
+    at most 10 steps (s in [-5, 5]).  The right end also stops where
+    e^{-w^2} underflows (s near 1.5); such terms are 0 and g is not called.
+    Convergence: the step then halves inside that range, up to 8 times,
+    reusing every earlier evaluation.  The change over the last halving is
+    the error estimate, and the result is converged once that change is at
+    most 1e-10 times the value, with no absolute floor; past the last
+    halving, converged is False.
     """
     if t <= 0.0:
         raise DomainError(f"subordination requires t > 0, got {t}")
     c = 2.0 / math.sqrt(math.pi)
+    half_pi = 0.5 * math.pi
 
-    def integrand(w):
-        if w == 0.0:
-            return 0.0
-        return math.exp(-w * w) * g(t * t / (4.0 * w * w))
+    def term(s):
+        """Integrand in s; None where e^{-w^2} underflows."""
+        w = math.exp(half_pi * math.sinh(s))
+        decay = math.exp(-w * w)
+        if decay == 0.0:
+            return None
+        return decay * g(t * t / (4.0 * w * w)) * half_pi * math.cosh(s) * w
 
-    res = integrate(integrand, 0.0, np.inf)
-    return IntegrationResult(c * res.value, c * res.error, res.converged)
+    total = term(0.0)
+    reach = []
+    for sign in (1, -1):
+        k = 0
+        while k < _DE_REACH:
+            k += 1
+            f = term(sign * k * _DE_STEP)
+            if f is None:
+                break
+            total += f
+            if total != 0.0 and abs(f) <= _EPS * abs(total):
+                break
+        reach.append(k)
+    lo, n, h = -reach[1] * _DE_STEP, sum(reach), _DE_STEP
+    value = h * total
+    for _ in range(_DE_LEVELS):
+        h *= 0.5
+        total += sum(term(lo + (2 * j + 1) * h) or 0.0 for j in range(n))
+        n *= 2
+        value, error = h * total, abs(h * total - value)
+        if error <= _DE_RTOL * abs(value):
+            return IntegrationResult(c * value, c * error, True)
+    return IntegrationResult(c * value, c * error, False)
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,15 @@ def modified_bessel_i(nu: float, z):
 def log_modified_bessel_i(nu: float, z):
     """log I_nu(z) = log ive(nu, z) + z for nu >= 0, z >= 0.
 
-    Finite up to z ~ 1e8 and beyond, where I_nu itself overflows.  Where the
-    scaled ive underflows (tiny z, (z/2)^nu below the smallest normal float)
-    the leading term nu log(z/2) - log Gamma(nu+1) of the ascending series is
-    used; for nu up to about 30 its relative correction z^2/(4(nu+1)) is
-    below rounding there.
-    At z = 0 the value is log I_nu(0): 0 for nu = 0, -inf otherwise.
+    Finite for every finite z, where I_nu itself overflows from z ~ 700.
+    Where ive is not finite (NaN from z ~ 1.08e9) the large-z expansion
+    log I_nu(z) = z - log(2 pi z)/2 + log(1 - (4nu^2 - 1)/(8z) + ...)
+    (DLMF 10.40.1) is used with four correction terms, below rounding there
+    for nu up to about 30.  Where the scaled ive underflows (tiny z,
+    (z/2)^nu below the smallest normal float) the leading term
+    nu log(z/2) - log Gamma(nu+1) of the ascending series is used; for nu up
+    to about 30 its relative correction z^2/(4(nu+1)) is below rounding
+    there.  At z = 0 the value is log I_nu(0): 0 for nu = 0, -inf otherwise.
     """
     if nu < 0.0:
         raise DomainError(f"log_modified_bessel_i requires nu >= 0, got {nu}")
@@ -148,4 +151,13 @@ def log_modified_bessel_i(nu: float, z):
         out = np.log(scaled) + z_arr
         if np.any(under):
             out = np.where(under, nu * (np.log(z_arr) - math.log(2.0)) - gammaln(nu + 1.0), out)
+    broken = ~np.isfinite(scaled)
+    if np.any(broken):
+        big = np.where(broken, z_arr, 1e9)  # unused lanes: any z the expansion serves
+        mu = 4.0 * nu * nu
+        term = series = np.ones_like(big)
+        for k in range(1, 5):
+            term = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k * big))
+            series = series + term
+        out = np.where(broken, big - 0.5 * np.log(2.0 * math.pi * big) + np.log(series), out)
     return float(out) if out.ndim == 0 else out

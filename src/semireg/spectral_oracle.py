@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import CapabilityError, DomainError, NonConvergenceError
 from .kernels import KernelSetting
@@ -173,6 +172,27 @@ def _hankel_rule(nu: float, x, z_max: float = 40.0):
     return z, w, _hankel_matrix(nu, z, x)
 
 
+def _simpson_weights(x):
+    """Composite Simpson weights on uniform nodes x, scipy.integrate.simpson's
+    rule: (h/3)(1, 4, 2, ..., 4, 1) on an odd node count; on an even count,
+    that rule on all but the last node plus Cartwright's last-interval
+    correction (h/12)(-1, 8, 5) on the last three."""
+    n = x.size
+    if n < 3:
+        raise DomainError("Simpson weights need at least three nodes")
+    h = (x[-1] - x[0]) / (n - 1)
+    if not np.all(np.abs(np.diff(x) - h) <= 1e-8 * h):
+        raise DomainError("Simpson weights need uniform nodes")
+    m = n - 1 + n % 2  # nodes under the plain Simpson rule
+    w = np.zeros(n)
+    w[1:m - 1] = np.where(np.arange(1, m - 1) % 2, 4.0, 2.0)
+    w[0] = w[m - 1] = 1.0
+    w *= h / 3.0
+    if m < n:
+        w[-3:] += (h / 12.0) * np.array([-1.0, 8.0, 5.0])
+    return w
+
+
 def _samples(x_nodes, f_values):
     """Node and sample arrays of a sampled function, checked to match."""
     x, f = np.asarray(x_nodes, dtype=float), np.asarray(f_values, dtype=float)
@@ -184,12 +204,12 @@ def _samples(x_nodes, f_values):
 def hankel_transform(nu: float, x_nodes, f_values, z_nodes):
     """Transform of sampled data: int sqrt(xz) J_nu(xz) f(x) dx at each z.
 
-    The x-samples must lie on a uniform grid; composite Simpson keeps the
-    sample-integration error at fourth order.
+    The x-samples must lie on a uniform grid (DomainError otherwise);
+    composite Simpson keeps the sample-integration error at fourth order.
     """
     x, f = _samples(x_nodes, f_values)
     z = np.asarray(z_nodes, dtype=float)
-    return scipy.integrate.simpson(_hankel_matrix(nu, z, x) * f[None, :], x=x, axis=1)
+    return _hankel_matrix(nu, z, x) @ (_simpson_weights(x) * f)
 
 
 def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
@@ -198,13 +218,14 @@ def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
 
     Forward transform, multiplication by e^{-t z}, inverse transform (the
     transform is its own inverse, so one kernel matrix serves both ways).
-    t = 0 performs a pure round-trip.
+    t = 0 performs a pure round-trip.  The x-samples must lie on a uniform
+    grid, as for hankel_transform.
     """
     if not (alpha > 0.0 and 0.0 <= t < math.inf):
         raise DomainError("need alpha > 0 and a finite t >= 0")
     x, f = _samples(x_nodes, f_values)
     z, w, kernel = _hankel_rule(alpha - 0.5, x, 40.0 if z_max is None else z_max)
-    g = scipy.integrate.simpson(kernel * f[None, :], x=x, axis=1)
+    g = kernel @ (_simpson_weights(x) * f)
     return kernel.T @ (g * np.exp(-t * z) * w)
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CapabilityError, DomainError
 from .kernels import KernelSetting
@@ -235,26 +234,16 @@ def target_nodes(entry: ChartEntry, grid: Grid1D) -> np.ndarray:
     return x * x if entry.square_map else x.copy()
 
 
-def apply_UW(entry: ChartEntry, values, grid: Grid1D, value_nodes=None) -> np.ndarray:
+def apply_UW(entry: ChartEntry, values, grid: Grid1D) -> np.ndarray:
     """(U W) f on the companion-side grid: M(x) f(h(x)).
 
-    With value_nodes=None the samples are taken at target_nodes(entry, grid)
-    and the substitution costs nothing.  Otherwise values are samples at
-    value_nodes and f(h(x)) is interpolated with a cubic spline; images
-    falling outside the sampled range are refused rather than extrapolated.
+    The values are samples of f at target_nodes(entry, grid), so the
+    substitution costs nothing.
     """
     vals = np.asarray(values, dtype=float)
-    img = target_nodes(entry, grid)
-    if value_nodes is None:
-        if vals.shape[-1] != grid.n:
-            raise DomainError("values must be sampled on the image of the grid")
-        sampled = vals
-    else:
-        nodes = np.asarray(value_nodes, dtype=float)
-        if img.min() < nodes[0] or img.max() > nodes[-1]:
-            raise DomainError("substituted points fall outside the sampled range")
-        sampled = CubicSpline(nodes, vals, axis=-1)(img)
-    return entry.weight(grid.nodes) * sampled
+    if vals.shape[-1] != grid.n:
+        raise DomainError("values must be sampled on the image of the grid")
+    return entry.weight(grid.nodes) * vals
 
 
 def apply_UW_inverse(entry: ChartEntry, values, grid: Grid1D) -> np.ndarray:

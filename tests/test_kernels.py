@@ -269,6 +269,16 @@ def test_bessel_kernel_at_the_ends_of_the_alpha_range():
         assert float(kn.dt_poisson_bessel(a, t, x, y)) == pytest.approx(dt, rel=1e-13)
 
 
+def test_bessel_kernel_refuses_alpha_outside_its_range():
+    # hyp2f1 loses digits past alpha ~ 12, so the whole kernel refuses
+    # alphas outside the range its accuracy is documented for
+    for a in (0.015, 10.5):
+        for fn in (kn.poisson_bessel, kn.dt_poisson_bessel):
+            with pytest.raises(DomainError):
+                fn(a, 0.5, 1.0, 1.0)
+    assert np.isfinite(float(kn.dt_poisson_bessel(10.0, 0.5, 1.0, 1.0)))
+
+
 @pytest.mark.parametrize("t", [1000.0, 9100.0])
 def test_dt_piece_thirteen_matches_mpmath_at_large_times(t):
     # t/x up to 9,100, where the (pi/2, inf) integral of the flattened
@@ -546,6 +556,48 @@ def test_subordinated_classical_poisson():
         res = kn.poisson_via_subordination(kn.classical(), 1.0, dz, 0.0)
         assert res.converged
         assert res.value == pytest.approx(float(kn.poisson_classical(1.0, dz)), abs=1e-9)
+
+
+def _quadpack_subordination(setting, t, x, y):
+    """The subordination integral in w by QUADPACK, an independent reference."""
+    def f(w):
+        return 0.0 if w == 0.0 else math.exp(-w * w) * float(kn.heat_kernel(setting, t * t / (4 * w * w), x, y))
+
+    value, _ = scipy.integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+    return 2.0 / math.sqrt(math.pi) * value
+
+
+def test_subordination_agrees_with_quadpack():
+    # t in [0.3, 2], the range of the benchmark's pointwise subordination checks
+    rng = np.random.default_rng(20221)
+    settings_ = (kn.classical(), kn.hermite(), kn.laguerre(1.5), kn.laguerre(0.6), kn.bessel(1.5))
+    for i in range(30):
+        setting = settings_[i % len(settings_)]
+        low = -3.0 if setting.variant in ("classical", "hermite") else 0.05
+        x, y = rng.uniform(low, 3.0, 2)
+        t = rng.uniform(0.3, 2.0)
+        res = kn.poisson_via_subordination(setting, t, x, y)
+        assert res.converged
+        assert res.value == pytest.approx(_quadpack_subordination(setting, t, x, y), rel=1e-12, abs=0.0)
+
+
+def test_subordinated_hermite_matches_series_at_large_time():
+    # the convergence test is relative: with an absolute floor of 1e-12 the
+    # result was flagged converged while 33% off at t = 50
+    for t in (0.1, 5.0, 20.0, 50.0, 200.0):
+        n = poisson_series_terms(t, 1e-10)
+        series = hermite_poisson_series(t, 0.5, 0.4, n, index_cap=max(n + 1, 400)).value
+        res = kn.poisson_via_subordination(kn.hermite(), t, 0.5, 0.4)
+        assert res.converged
+        assert res.value == pytest.approx(series, rel=1e-9, abs=0.0)
+
+
+def test_subordinated_laguerre_at_small_time():
+    # the rule samples u near 1e-12, where the Laguerre heat kernel needs
+    # log I_nu beyond z = 1e9
+    res = kn.poisson_via_subordination(kn.laguerre(1.5), 1e-3, 1.0, 1.2)
+    assert math.isfinite(res.value) and res.converged
+    assert res.value == pytest.approx(float(kn.poisson_kernel_grid(kn.laguerre(1.5), 1e-3, 1.0, 1.2)), rel=1e-6, abs=0.0)
 
 
 def test_subordinated_grid_matches_scalar_route():

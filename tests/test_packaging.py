@@ -1,8 +1,11 @@
-"""Every console script that pyproject.toml declares can be imported, and every
-name a semireg module exports exists."""
+"""Every console script that pyproject.toml declares can be imported, every
+name a semireg module exports exists, and importing semireg stays light."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -37,3 +40,20 @@ def test_every_all_entry_resolves():
         stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                   if not hasattr(module, name)]
     assert not stale
+
+
+def test_import_loads_no_heavy_scipy_package():
+    # process start-up is the largest cost of a fresh benchmark process:
+    # these packages add about 0.3 s, and nothing in semireg needs them
+    heavy = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.sparse")
+    code = (
+        "import importlib, pkgutil, sys, semireg\n"
+        "for info in pkgutil.iter_modules(semireg.__path__):\n"
+        "    importlib.import_module('semireg.' + info.name)\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+    )
+    src = str(Path(semireg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

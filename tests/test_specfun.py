@@ -173,6 +173,14 @@ def test_log_modified_bessel_matches_mpmath_everywhere():
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-14
 
 
+def test_log_modified_bessel_at_huge_arguments():
+    # scipy's ive is NaN from z ~ 1.08e9; the large-z expansion takes over
+    for nu in (0.0, 1.0, 5.5):
+        for z in (1e9, 1e12, 1e15):
+            ref = _log_i_reference(nu, z)
+            assert abs(log_modified_bessel_i(nu, z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
 def test_log_modified_bessel_underflowing_scaled_value():
     # (z/2)^nu underflows: the scaled ive is 0 and log I must come from the
     # leading series term, finite and without a divide-by-zero warning

@@ -209,6 +209,22 @@ def test_bessel_sqrt_generator_rejects_real_line_grid():
         so.sqrt_generator_apply(kn.bessel(1.5), g, np.exp(-g.nodes ** 2))
 
 
+@pytest.mark.parametrize("n", [3, 4, 60, 61, 200, 201])
+def test_simpson_weights_match_scipy(n):
+    x = Grid1D.uniform(0.0, 8.0, n, domain="half-line").nodes
+    f = np.vstack([np.exp(-x), x ** 1.5 * np.exp(-(x - 3.0) ** 2),
+                   np.random.default_rng(n).uniform(0.5, 2.0, n)])
+    np.testing.assert_allclose(f @ so._simpson_weights(x),
+                               scipy.integrate.simpson(f, x=x, axis=1), rtol=1e-15, atol=0.0)
+
+
+def test_simpson_weights_refuse_non_uniform_nodes():
+    with pytest.raises(DomainError):
+        so._simpson_weights(np.geomspace(0.1, 8.0, 21))
+    with pytest.raises(DomainError):
+        so.hankel_transform(0.3, np.geomspace(0.1, 8.0, 21), np.ones(21), np.array([1.0, 2.0]))
+
+
 def test_hankel_routes_reject_mismatched_samples():
     x = Grid1D.uniform(0.0, 4.0, 20, domain="half-line")
     with pytest.raises(DomainError):

@@ -105,22 +105,9 @@ def test_round_trip_property(values, slug):
     np.testing.assert_allclose(back, f, rtol=5e-13, atol=1e-13)
 
 
-def test_interpolated_samples_agree_with_image_sampling():
-    e = tr.chart_entry("L_alpha_ell", 0.7)
-    grid = tr.source_grid(e, 120)
-    fine = np.linspace(0.0, 11.0, 4001)
-    fn = lambda z: np.exp(-((z - 3.0) ** 2))
-    exact = tr.apply_UW(e, fn(tr.target_nodes(e, grid)), grid)
-    interp = tr.apply_UW(e, fn(fine), grid, value_nodes=fine)
-    np.testing.assert_allclose(interp, exact, atol=1e-10)
-
-
 def test_substituted_points_outside_sample_range_refused():
     e = tr.chart_entry("L_alpha_ell", 0.7)
     grid = tr.source_grid(e, 120)
-    short = np.linspace(0.0, 2.0, 300)  # image reaches 10.24
-    with pytest.raises(DomainError):
-        tr.apply_UW(e, np.ones_like(short), grid, value_nodes=short)
     with pytest.raises(DomainError):
         tr.apply_UW(e, np.ones(17), grid)
     with pytest.raises(DomainError):
