@@ -8,8 +8,9 @@ half-line.
 
 Every Poisson kernel function takes a time or a 1-D array of times; an
 array gives one kernel per time along a new leading (lag) axis.  Classical
-Poisson kernels are closed forms; so are the Bessel kernel (a 2F1) and its
-elementary split pieces "12" and "13".  Bessel pieces "1", "11" and "2" are
+Poisson kernels are closed forms; so are the Bessel kernel (2F1s summed
+as two convergent power series, _bessel_g) and its elementary split pieces
+"12" and "13".  Bessel pieces "1", "11" and "2" are
 angular quadratures with a node count per time (_bessel_angular).  The
 oscillator Poisson kernels are Bochner subordinations of their closed-form
 heat kernels,
@@ -25,12 +26,13 @@ differencing of kernel values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import gammaln, hyp2f1
+from scipy.special import digamma, gammaln, rgamma
 
 from .errors import DomainError
 from .quad import (
@@ -187,8 +189,70 @@ def heat_classical(t, z, diffusion: float = 1.0):
 
 
 _PIECES = ("1", "11", "12", "13", "2")
-# alphas where hyp2f1 gives the whole kernel to 1e-14 (see poisson_bessel)
-_HYP2F1_ALPHAS = (0.02, 10.0)
+# alphas where _bessel_g gives the whole kernel's 2F1s to 1e-14 (see poisson_bessel)
+_WHOLE_KERNEL_ALPHAS = (0.02, 10.0)
+# _bessel_g's series: in zeta up to _ZETA_SPLIT (w = 1 - z > 0.031), in w past it
+_ZETA_SPLIT = 0.7
+_ZETA_TERMS = 80
+_LOG_TERMS = 24
+
+
+@functools.cache
+def _bessel_series(alpha: float):
+    """Read-only coefficients of _bessel_g's polynomials, lowest power first:
+    column k - 1 of the first for G_k's series in zeta; columns 2k - 2 and
+    2k - 1 of the second for the parts of G_k without and with the factor
+    log w, the finite sum of DLMF 15.8.10 included."""
+    c = alpha + 0.5
+    n, j = np.arange(_ZETA_TERMS - 1.0), np.arange(float(_LOG_TERMS))
+    in_zeta = np.ones((_ZETA_TERMS, 2))
+    in_w = np.zeros((_LOG_TERMS + 2, 4))
+    for k in (1, 2):
+        in_zeta[1:, k - 1] = np.cumprod((alpha - k + n) * (0.5 - k + n) / ((c + n) * (n + 1.0)))
+        a, b = 0.5 * (alpha + 1.0 - k), 0.5 * (alpha - k)
+        in_w[:k, 2 * k - 2] = math.gamma(c) * rgamma(a + k) * rgamma(b + k) * np.array([1.0, -a * b][:k])
+        ratio = (a + k + j[:-1]) * (b + k + j[:-1]) / ((j[:-1] + 1.0) * (j[:-1] + k + 1.0))
+        log_part = ((-1.0) ** (k + 1) * math.gamma(c) * rgamma(a) * rgamma(b) / math.factorial(k)
+                    * np.cumprod(np.append(1.0, ratio)))
+        psi = digamma(a + k + j) + digamma(b + k + j) - digamma(j + 1.0) - digamma(j + k + 1.0)
+        in_w[k:k + _LOG_TERMS, 2 * k - 2] = log_part * psi
+        in_w[k:k + _LOG_TERMS, 2 * k - 1] = log_part
+    in_zeta.flags.writeable = in_w.flags.writeable = False
+    return in_zeta, in_w
+
+
+def _horner(coef, x):
+    """Every column of coef (lowest power first) as a polynomial at x: (columns, x.size)."""
+    out = np.zeros((coef.shape[1], x.size))
+    for row in coef[::-1]:
+        out *= x
+        out += row[:, None]
+    return out
+
+
+def _bessel_g(alpha: float, big_a, xy, count: int):
+    """G_k = 2F1((a+1-k)/2, (a-k)/2; a+1/2; z), k = 1, ..., count, z = (2xy/s)^2,
+    s = A + 2xy, each on a leading axis (see poisson_bessel); A has the shape
+    of the result."""
+    s = big_a + 2.0 * xy
+    big_b = big_a + 4.0 * xy
+    q = np.sqrt(big_a * big_b)
+    zeta = (2.0 * xy / (s + q)) ** 2  # (1 - sqrt w)/(1 + sqrt w), w = 1 - z
+    in_zeta, in_w = _bessel_series(alpha)
+    g = np.empty((count,) + np.shape(big_a))
+    near = zeta > _ZETA_SPLIT
+    far = ~near
+    r = (s[far] + q[far]) / (2.0 * s[far])
+    # DLMF 15.8 (quadratic transformation): G_k = r^{k-a} F(a-k, 1/2-k; a+1/2; zeta)
+    g[:, far] = r ** (1.0 - alpha) * _horner(in_zeta[:, :count], zeta[far])
+    if count == 2:
+        g[1, far] *= r
+    if near.any():
+        # DLMF 15.8.10 with c - a - b = k
+        w = (big_a[near] / s[near]) * (big_b[near] / s[near])
+        parts = _horner(in_w[:, :2 * count], w)
+        g[:, near] = parts[0::2] + np.log(w) * parts[1::2]
+    return g
 
 
 def _bessel_angular(piece: str, alpha: float, t, x, y, dt: bool):
@@ -256,18 +320,16 @@ def _bessel_closed(piece: str, alpha: float, t, x, y, dt: bool):
     d = x - y
     big_a = d * d + t * t
     if piece == "full":
-        lo, hi = _HYP2F1_ALPHAS
+        lo, hi = _WHOLE_KERNEL_ALPHAS
         if not lo <= alpha <= hi:
             raise DomainError(f"the whole Bessel kernel needs {lo:g} <= alpha <= {hi:g}, got {alpha:g}")
         s = big_a + 2.0 * x * y
         h = s / (big_a * (big_a + 4.0 * x * y))  # 1 / (s (1 - z)), 1 - z formed exactly
-        z = (2.0 * x * y / s) ** 2 + 0j  # on scipy's complex branch
-        g = [hyp2f1(0.5 * (alpha + 1.0 - k), 0.5 * (alpha - k), alpha + 0.5, z).real
-             for k in ((1, 2) if dt else (1,))]
+        g = _bessel_g(alpha, big_a, x * y, 1 + dt)
         c = (2.0 * alpha / math.pi) * beta_fn(alpha, 0.5) * (x * y / s) ** alpha * h
         out = c * (g[0] - 2.0 * (alpha + 1.0) * t * t * h * g[1]) if dt else c * t * g[0]
         if not np.all(np.isfinite(out)):
-            raise DomainError(f"hyp2f1 is not finite for the Bessel kernel at alpha = {alpha:g}")
+            raise DomainError(f"the whole Bessel kernel is not finite at alpha = {alpha:g}")
         return out
     xys = x * y * (math.pi ** 2 / 4.0)
     w_a = (xys / (big_a + xys)) ** alpha
@@ -303,12 +365,17 @@ def poisson_bessel(alpha: float, t, x, y):
     pole at z = 1 with 1 - z formed exactly, is P_t = C t G_1, and
     d/dt P_t = C (G_1 - 2(a+1) t^2 h G_2), where s = A + 2xy, z = (2xy/s)^2,
     h = s/(A (A + 4xy)), C = (2a/pi) B(a, 1/2) (xy/s)^a h and
-    G_k = 2F1((a+1-k)/2, (a-k)/2; a+1/2; z), scipy's hyp2f1 on its complex
-    branch.  G_k is within 1e-14 relative of mpmath for 0.02 <= a <= 10 and
-    0 <= z <= 1 - 1e-16; past a = 12 its error grows (2e-12 at a = 20, 1e-8
-    at a = 40).  DomainError is raised for a outside [0.02, 10], and where
-    G_k is not finite.  (The real branch is off by up to 2e-5, or infinite,
-    near z = 1 for some a; the untransformed 2F1 loses eps/(1 - z).)
+    G_k = 2F1((a+1-k)/2, (a-k)/2; a+1/2; z).  With w = 1 - z = (A/s)((A +
+    4xy)/s), q = sqrt(A (A + 4xy)) and zeta = (2xy/(s + q))^2 = (1 - sqrt
+    w)/(1 + sqrt w), all formed without cancellation, G_k is summed in
+    numpy as one of two power series: for zeta <= 0.7 the quadratic
+    transformation G_k = ((s + q)/2s)^{k-a} 2F1(a-k, 1/2-k; a+1/2; zeta)
+    (DLMF 15.8(iii)), 80 terms; beyond, where w < 0.031, the logarithmic
+    expansion about z = 1 for the integer c - a - b = k (DLMF 15.8.10), 24
+    terms.  G_k is within 1.3e-15 relative of 40-digit mpmath for 0.02 <= a
+    <= 10 and 1e-16 <= w <= 1; past a = 12 the error grows (1.2e-13 at
+    a = 20, 4.7e-10 at a = 40).  DomainError is raised for a outside
+    [0.02, 10], and where the kernel is not finite.
     Kernel and t-derivative are within 2e-14 relative of 30-digit
     quadrature for x/t in [2, 1000] and at t/x = 1e4; near the derivative's
     sign change, |x - y| ~ t, its error is that of the difference (2e-10
@@ -371,7 +438,7 @@ def heat_bessel(alpha: float, t, x, y):
 def _log_sinh(t):
     """log(sinh t), valid for every t > 0 without overflow."""
     t = np.asarray(t, dtype=float)
-    return t + np.log1p(-np.exp(-2.0 * t)) - math.log(2.0)
+    return t + np.log(-np.expm1(-2.0 * t)) - math.log(2.0)
 
 
 def heat_hermite(t, x, y):

@@ -322,14 +322,6 @@ class ConjugationReport:
         orders = self.orders
         return min(orders) if orders else math.nan
 
-    def to_dict(self) -> dict:
-        return {
-            "entry": self.slug,
-            "spacings": list(self.spacings),
-            "residuals": list(self.residuals),
-            "orders": list(self.orders),
-        }
-
 
 def _default_test(z: np.ndarray) -> Callable:
     zc = 0.5 * (z.min() + z.max())

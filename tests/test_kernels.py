@@ -279,6 +279,57 @@ def test_bessel_kernel_refuses_alpha_outside_its_range():
     assert np.isfinite(float(kn.dt_poisson_bessel(10.0, 0.5, 1.0, 1.0)))
 
 
+# w = 1 - z from 1e-16 to 1, and zeta = (1 - sqrt w)/(1 + sqrt w) within 1%
+# of the split 0.7 between the two series, on either side
+G_SERIES_W = tuple(np.logspace(-16.0, 0.0, 33)[:-1]) + tuple(
+    ((1.0 - zeta) / (1.0 + zeta)) ** 2 for zeta in (0.693, 0.6993, 0.7007, 0.707))
+
+
+@pytest.mark.parametrize("a", [0.02, 0.55, 1.5, 2.3, 6.0, 10.0])
+def test_bessel_g_matches_mpmath(a):
+    # xy = 1/4, so that 4xy = 1 and A(A + 1) = w (A + 1/2)^2; A = 1e8 leaves
+    # 1 - w below rounding (w = 1).  The reference takes the floats A and xy
+    # as given, at 40 digits
+    w = np.array(G_SERIES_W)
+    big_a = np.append(w / (2.0 * (1.0 - w + np.sqrt(1.0 - w))), 1e8)
+    got = kn._bessel_g(a, big_a, 0.25, 2)
+    with mpmath.workdps(40):
+        for k in (1, 2):
+            for value, ba in zip(got[k - 1], big_a):
+                z = (mpmath.mpf(0.5) / (mpmath.mpf(ba) + mpmath.mpf(0.5))) ** 2
+                ref = mpmath.hyp2f1(mpmath.mpf(a + 1 - k) / 2, mpmath.mpf(a - k) / 2,
+                                    mpmath.mpf(a) + mpmath.mpf(0.5), z)
+                assert abs(value - ref) <= 1e-14 * abs(ref), (k, ba)
+
+
+def test_dt_bessel_stack_matches_lag_by_lag():
+    # a (lags, pairs) call is the same elementwise arithmetic as one call
+    # per lag, although each call splits its own elements between the series
+    x = np.linspace(0.05, 6.0, 24)
+    i, j = np.triu_indices(x.size)
+    lags = np.arange(2, 30) * 0.05
+    stack = kn.dt_poisson_bessel(1.5, lags, x[i], x[j])
+    assert stack.shape == (lags.size, i.size)
+    for row, t in zip(stack, lags):
+        assert np.array_equal(row, kn.dt_poisson_bessel(1.5, t, x[i], x[j]))
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_heat_laguerre_at_small_time_matches_mpmath(t, x):
+    # log sinh t as t + log(-expm1(-2t)) - log 2 keeps its relative accuracy
+    # as t -> 0, where t + log1p(-e^{-2t}) - log 2 was off by 1e-16/t
+    # relative.  What is left at t = 1e-8 is log I(xi) against the Gaussian
+    # exponent, xi = x^2/sinh t ~ 1e8
+    with mpmath.workdps(40):
+        tm, xm = mpmath.mpf(t), mpmath.mpf(x)
+        sh = mpmath.sinh(tm)
+        ref = (xm / sh * mpmath.besseli(1, xm * xm / sh)
+               * mpmath.exp(-xm * xm / mpmath.tanh(tm)))
+    rel = 1e-5 if t == 1e-8 else 1e-8
+    assert float(kn.heat_laguerre(1.5, t, x, x)) == pytest.approx(float(ref), rel=rel)
+
+
 @pytest.mark.parametrize("t", [1000.0, 9100.0])
 def test_dt_piece_thirteen_matches_mpmath_at_large_times(t):
     # t/x up to 9,100, where the (pi/2, inf) integral of the flattened

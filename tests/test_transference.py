@@ -261,6 +261,7 @@ def test_report_shape():
     rep = tr.check_conjugation(e, levels=1, n0=100)
     assert rep.orders == ()
     assert math.isnan(rep.min_order())
-    d = tr.check_conjugation(e, levels=2, n0=100).to_dict()
-    assert set(d) == {"entry", "spacings", "residuals", "orders"}
-    assert len(d["orders"]) == 1
+    rep = tr.check_conjugation(e, levels=2, n0=100)
+    assert rep.slug == "ou_plus_half"
+    assert len(rep.spacings) == len(rep.residuals) == 2
+    assert len(rep.orders) == 1
