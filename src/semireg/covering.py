@@ -91,7 +91,6 @@ class Covering:
     centers: np.ndarray
     radii: np.ndarray
     window: float
-    dilation: float
     overlap_bound: int
 
     @property
@@ -124,8 +123,7 @@ def build_covering(window: float) -> Covering:
     centers = np.concatenate([-right[:0:-1], right])
     radii = critical_radius(centers)
     m = _max_overlap(centers, radii)
-    return Covering(centers=centers, radii=radii, window=float(window),
-                    dilation=_DILATION, overlap_bound=m)
+    return Covering(centers=centers, radii=radii, window=float(window), overlap_bound=m)
 
 
 def uncovered_points(cov: Covering) -> int:
@@ -212,22 +210,17 @@ def region_sandwich_check(cov: Covering, nodes):
 def block_sum_bound(f: SampledField, cov: Covering) -> DominationResult:
     """Squared norm of T(f) against the sum over blocks of the squared norms
     of the unrestricted operator applied to the block slices of f."""
-    if f.grid.space.domain != "real-line":
-        raise DomainError("the covering lives on the whole line")
-    nodes = f.grid.space.nodes
-    family = _family_for(_MODEL)
-    V = multiplicity_matrix(cov, nodes)
-    lhs = _weighted_apply(family, f, V).l2_norm() ** 2
+    lhs = localized_operator_T(f, cov).l2_norm() ** 2
     # every block slice of every fiber component side by side on the fiber
     # axis of one field: one apply, and the squared norm of its output is
     # the sum of the blocks' squared norms
-    blocks = np.abs(nodes[None, :] - cov.centers[:, None]) < (
+    blocks = np.abs(f.grid.space.nodes[None, :] - cov.centers[:, None]) < (
         COMPARABILITY_C0 + 1.0) * cov.radii[:, None]
     blocks = blocks[blocks.any(axis=1)]
     nt, nx, fib = f.values.shape
     sliced = f.values[:, :, None, :] * blocks.T[None, :, :, None]
     batch = f.with_values(sliced.reshape(nt, nx, blocks.shape[0] * fib))
-    total = _weighted_apply(family, batch).l2_norm() ** 2
+    total = _weighted_apply(_family_for(_MODEL), batch).l2_norm() ** 2
     return _ratio_constant("covering-block-sum",
                            np.asarray([lhs]), np.asarray([total]))
 

@@ -419,14 +419,19 @@ def dt_poisson_bessel_piece(piece, alpha: float, t, x, y):
 
 
 def heat_bessel(alpha: float, t, x, y):
-    """Heat kernel of the Bessel-type operator (closed form, log-stable)."""
+    """Heat kernel of the Bessel-type operator (closed form, log-stable).
+
+    The growth e^xi of I_nu(xi), xi = xy/2t, is folded into the Gaussian
+    factor analytically, xi - (x^2 + y^2)/4t = -(x - y)^2/4t, so only the
+    scaled log(I_nu(xi) e^{-xi}) is evaluated and nothing cancels at large xi.
+    """
     _check_halfline(alpha, t, x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nu = alpha - 0.5
     arg = x * y / (2.0 * t)
-    log_i = log_modified_bessel_i(nu, arg)
-    log_val = 0.5 * np.log(x * y) - np.log(2.0 * t) + log_i - (x * x + y * y) / (4.0 * t)
+    log_ive = log_modified_bessel_i(nu, arg)
+    log_val = 0.5 * np.log(x * y) - np.log(2.0 * t) + log_ive - (x - y) ** 2 / (4.0 * t)
     return np.exp(log_val)
 
 
@@ -464,11 +469,13 @@ def heat_hermite(t, x, y):
 def heat_laguerre(alpha: float, t, x, y):
     """Heat kernel of the Laguerre-type oscillator on the half-line.
 
-    Log-domain evaluation: the cross term I_nu(xi) with xi = xy/sinh(t) is
-    combined with the Gaussian factor before exponentiating, so xi up to 1e6
-    and beyond stays finite.  Where xi underflows (large t, tiny xy), log I
-    is the leading series term nu (log xi - log 2) - log Gamma(nu + 1),
-    built from log xi = log(xy) - log sinh t.
+    Log-domain evaluation: the growth e^xi of the cross term I_nu(xi),
+    xi = xy/sinh(t), is folded into the Gaussian factor analytically,
+    xi - coth(t) (x^2 + y^2)/2 = -coth(t) (x - y)^2/2 - xy tanh(t/2), so only
+    the scaled log(I_nu(xi) e^{-xi}) is evaluated and nothing cancels at
+    large xi.  Where xi underflows (large t, tiny xy), that is the leading
+    series term nu (log xi - log 2) - log Gamma(nu + 1), built from
+    log xi = log(xy) - log sinh t.
     """
     _check_halfline(alpha, t, x, y)
     t = np.asarray(t, dtype=float)
@@ -479,13 +486,13 @@ def heat_laguerre(alpha: float, t, x, y):
     log_xy = np.log(x) + np.log(y)
     log_xi = log_xy - log_sh
     xi = np.exp(log_xi)
-    coth = 1.0 / np.tanh(t)
-    log_i = np.where(
+    log_ive = np.where(
         xi < np.finfo(float).tiny,
         nu * (log_xi - math.log(2.0)) - gammaln(nu + 1.0),
         log_modified_bessel_i(nu, xi),
     )
-    log_val = 0.5 * log_xy - log_sh + log_i - 0.5 * coth * (x * x + y * y)
+    gauss = 0.5 * (x - y) ** 2 / np.tanh(t) + x * y * np.tanh(0.5 * t)
+    log_val = 0.5 * log_xy - log_sh + log_ive - gauss
     return np.exp(log_val)
 
 

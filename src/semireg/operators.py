@@ -19,8 +19,7 @@ application with a different (x, y) weight matrix and kernel family.
 
 The module also hosts the scalar dominating operators from the comparison
 arguments (Hardy, maximal, band-averaging, log- and square-root kernels),
-the catalog of pointwise kernel estimates checked as sup-ratios, and a
-power-iteration operator-norm estimator.
+and the catalog of pointwise kernel estimates checked as sup-ratios.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from .quad import Grid1D, SpaceTimeGrid, gauss_legendre_panels, gauss_legendre_r
 __all__ = [
     "SampledField",
     "smooth_test_field",
-    "time_derivative",
     "apply_K",
     "apply_K_plus",
     "apply_K_minus",
@@ -80,9 +78,6 @@ __all__ = [
     "domination_laguerre_local",
     "domination_bessel_pieces",
     "difference_kernel_time_integral",
-    "NormEstimate",
-    "operator_norm_estimate",
-    "reset_kernel_cache",
 ]
 
 # margin slices must be this small relative to the field's sup norm
@@ -177,9 +172,8 @@ class SampledField:
     def positive_part(self) -> "SampledField":
         """Restriction f_+ to the positive space nodes of a symmetric grid."""
         mask = self.grid.space.nodes > 0.0
-        half = self.grid.space.positive_part()
-        grid = SpaceTimeGrid(time=self.grid.time, space=half, horizon=self.grid.horizon)
-        return SampledField(grid, self.values[:, mask], self.time_margin, max(self.space_margin, 1))
+        half = self.grid.positive_half
+        return SampledField(half, self.values[:, mask], self.time_margin, max(self.space_margin, 1))
 
     def reflected_part(self) -> "SampledField":
         """f_-(t, x) = f(t, -x) on the positive nodes of a symmetric grid."""
@@ -187,10 +181,9 @@ class SampledField:
         if not np.allclose(nodes, -nodes[::-1]):
             raise DomainError("reflected_part needs a symmetric space grid")
         mask = nodes > 0.0
-        half = self.grid.space.positive_part()
-        grid = SpaceTimeGrid(time=self.grid.time, space=half, horizon=self.grid.horizon)
+        half = self.grid.positive_half
         return SampledField(
-            grid, self.values[:, ::-1][:, mask], self.time_margin, max(self.space_margin, 1)
+            half, self.values[:, ::-1][:, mask], self.time_margin, max(self.space_margin, 1)
         )
 
     def zero_extension(self, space: Grid1D) -> "SampledField":
@@ -240,7 +233,7 @@ def _window(s, a, b):
     return out
 
 
-def time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
+def _time_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """Fourth-order finite-difference d/dt along axis 0 (one-sided at ends)."""
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
@@ -304,19 +297,14 @@ def _family_bessel_piece(alpha: float, piece: str, mass: float) -> _KernelFamily
     return _KernelFamily(((1, _Term(KernelSetting("bessel", alpha=alpha), piece)),), mass)
 
 
-# kernel tensors are expensive for the subordinated settings; each term is
-# built once per grid and reused by every family and weight that holds it
-_tensor_cache: dict = {}
-
-
-def reset_kernel_cache():
-    _tensor_cache.clear()
-
-
 def _kernel_tensors(term: _Term, grid: SpaceTimeGrid):
     """Stack of one term's dt kernels at lags 2 dt .. (n_time - 1) dt plus
-    its value kernel at delta = 1.5 dt, cached on the term and the grid's
-    nodes (read-only).
+    its value kernel at delta = 1.5 dt, read-only.
+
+    Kernel tensors are expensive for the subordinated settings, so the grid
+    holds the stacks it was built on, keyed by term: each term is built once
+    per grid and reused by every family and weight that holds it, and is
+    freed with the grid.
 
     Each stack is one kernel call over all lags (one log-u pass for both
     stack and value kernel of an oscillator term).  The call is evaluated
@@ -325,8 +313,7 @@ def _kernel_tensors(term: _Term, grid: SpaceTimeGrid):
     symmetric under x <-> y, the reflected classical and Hermite kernels
     too, as they depend on x and y only through (x+y)^2 and (x-y)^2.
     """
-    key = (term, grid.time.nodes.tobytes(), grid.space.nodes.tobytes())
-    hit = _tensor_cache.get(key)
+    hit = grid._stacks.get(term)
     if hit is not None:
         return hit
     x = grid.space.nodes
@@ -351,7 +338,7 @@ def _kernel_tensors(term: _Term, grid: SpaceTimeGrid):
     q[i, j] = q[j, i] = q_half
     stack.flags.writeable = False
     q.flags.writeable = False
-    _tensor_cache[key] = (stack, q)
+    grid._stacks[term] = (stack, q)
     return stack, q
 
 
@@ -410,7 +397,7 @@ def _weighted_apply(
     # rewritten integral, (Q_delta - m)(f - (delta/2) g); it needs only the
     # value kernel at time delta
     delta = (_FIRST_LAG - 0.5) * dt
-    h = _space_major(f.values - (delta / 2.0) * time_derivative(f.values, dt))
+    h = _space_major(f.values - (delta / 2.0) * _time_derivative(f.values, dt))
     q = _signed_kernel([(sign, qv) for sign, (_, qv) in tensors], weight, buf)
     out = q @ (wy * h)
     mass = family.identity_mass * (np.ones(nx) if weight is None else np.diag(weight))
@@ -1094,65 +1081,3 @@ def domination_bessel_pieces(alpha: float, f: SampledField) -> dict:
         ),
         "k2": _ratio_constant("bessel-k2-averaging", pieces["k2"].fiber_norm(), band),
     }
-
-
-# ---------------------------------------------------------------------------
-# Operator-norm estimation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    value: float
-    iterations: int
-    converged: bool
-    residual: float
-
-    def __float__(self):
-        return self.value
-
-
-def operator_norm_estimate(
-    op: Callable,
-    weights: np.ndarray,
-    iterations: int = 200,
-    tol: float = 1e-11,
-    seed: int = 7,
-) -> NormEstimate:
-    """Weighted-L2 operator norm of a linear map on sampled vectors.
-
-    The operator is materialized column by column, conjugated by the square
-    root of the quadrature weights, and its top singular value found by
-    power iteration on the normal matrix.  Non-convergence within the
-    iteration budget is flagged, not raised.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0.0):
-        raise DomainError("quadrature weights must be positive")
-    n = weights.size
-    cols = []
-    basis = np.zeros(n)
-    for j in range(n):
-        basis[j] = 1.0
-        cols.append(np.asarray(op(basis.copy()), dtype=float))
-        basis[j] = 0.0
-    mat = np.column_stack(cols)
-    root = np.sqrt(weights)
-    mat = mat * root[:, None] / root[None, :]
-    gram = mat.T @ mat
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for k in range(1, iterations + 1):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return NormEstimate(0.0, k, True, 0.0)
-        new_sigma = math.sqrt(norm)
-        v = w / norm
-        residual = abs(new_sigma - sigma) / max(new_sigma, 1e-300)
-        sigma = new_sigma
-        if residual <= tol:
-            return NormEstimate(sigma, k, True, residual)
-    return NormEstimate(sigma, iterations, False, residual)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # roots_jacobi imports scipy.linalg on its first call; loading it here keeps
@@ -173,7 +173,9 @@ class Grid1D:
 
     Nodes of uniform grids are cell-centered: the k-th node sits at the
     middle of its weight cell, so composite quadrature is the midpoint rule
-    and indicator partitions of an operator stay exact on nodes.
+    and indicator partitions of an operator stay exact on nodes.  The grid
+    keeps a read-only copy of the nodes it is given, so no later write can
+    change it.
     """
 
     nodes: np.ndarray
@@ -181,7 +183,8 @@ class Grid1D:
     spacing: str = "uniform"
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         if self.domain not in _DOMAINS:
             raise DomainError(f"unknown domain tag {self.domain!r}")
@@ -239,11 +242,16 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Tensor grid on (0, horizon) x space domain."""
+    """Tensor grid on (0, horizon) x space domain.
+
+    The kernel stacks that operators discretize on the grid are held in
+    _stacks, keyed by kernel term, and live and die with the grid.
+    """
 
     time: Grid1D
     space: Grid1D
     horizon: float
+    _stacks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -255,6 +263,12 @@ class SpaceTimeGrid:
     @classmethod
     def uniform(cls, horizon: float, n_time: int, space: Grid1D) -> "SpaceTimeGrid":
         return cls(time=Grid1D.uniform(0.0, horizon, n_time), space=space, horizon=horizon)
+
+    @functools.cached_property
+    def positive_half(self) -> "SpaceTimeGrid":
+        """The grid on the positive space nodes, built once per grid so that
+        every field restricted to it shares its kernel stacks."""
+        return SpaceTimeGrid(time=self.time, space=self.space.positive_part(), horizon=self.horizon)
 
     @property
     def shape(self) -> tuple:

@@ -1,9 +1,10 @@
 """Scalar special functions underlying every kernel family.
 
 Orthonormal Hermite and Laguerre functions (stable normalized recurrences
-in the function domain), Bessel J, and the modified Bessel I with its
-logarithm.  J and I come from scipy (I through the Amos algorithm, ACM TOMS
-644, whose exponentially scaled ive keeps log I finite for huge arguments).
+in the function domain), Bessel J, and the modified Bessel I with the
+logarithm of its scaled form I e^{-z}.  J and I come from scipy (I through
+the Amos algorithm, ACM TOMS 644, whose exponentially scaled ive keeps the
+logarithm finite for huge arguments).
 All evaluators accept numpy arrays where that helps kernel tensor assembly.
 """
 
@@ -128,16 +129,17 @@ def modified_bessel_i(nu: float, z):
 
 
 def log_modified_bessel_i(nu: float, z):
-    """log I_nu(z) = log ive(nu, z) + z for nu >= 0, z >= 0.
+    """Scaled log I: log(I_nu(z) e^{-z}) = log ive(nu, z) for nu >= 0, z >= 0.
 
-    Finite for every finite z, where I_nu itself overflows from z ~ 700.
-    Where ive is not finite (NaN from z ~ 1.08e9) the large-z expansion
-    log I_nu(z) = z - log(2 pi z)/2 + log(1 - (4nu^2 - 1)/(8z) + ...)
-    (DLMF 10.40.1) is used with four correction terms, below rounding there
-    for nu up to about 30.  Where the scaled ive underflows (tiny z,
-    (z/2)^nu below the smallest normal float) the leading term
-    nu log(z/2) - log Gamma(nu+1) of the ascending series is used; for nu up
-    to about 30 its relative correction z^2/(4(nu+1)) is below rounding
+    The growth e^z of I_nu is left out, so a caller folds z into its own
+    exponent analytically and nothing cancels at large z.  Finite for every
+    finite z.  Where ive is not finite (NaN from z ~ 1.08e9) the large-z
+    expansion log(I_nu(z) e^{-z}) = -log(2 pi z)/2 + log(1 - (4nu^2 - 1)/(8z)
+    + ...) (DLMF 10.40.1) is used with four correction terms, below rounding
+    there for nu up to about 30.  Where ive underflows (tiny z, (z/2)^nu
+    below the smallest normal float) the leading term
+    nu log(z/2) - log Gamma(nu+1) - z of the ascending series is used; for nu
+    up to about 30 its relative correction z^2/(4(nu+1)) is below rounding
     there.  At z = 0 the value is log I_nu(0): 0 for nu = 0, -inf otherwise.
     """
     if nu < 0.0:
@@ -148,9 +150,10 @@ def log_modified_bessel_i(nu: float, z):
     scaled = ive(nu, z_arr)
     under = scaled < np.finfo(float).tiny
     with np.errstate(divide="ignore"):
-        out = np.log(scaled) + z_arr
+        out = np.log(scaled)
         if np.any(under):
-            out = np.where(under, nu * (np.log(z_arr) - math.log(2.0)) - gammaln(nu + 1.0), out)
+            lead = nu * (np.log(z_arr) - math.log(2.0)) - gammaln(nu + 1.0)
+            out = np.where(under, lead - z_arr, out)
     broken = ~np.isfinite(scaled)
     if np.any(broken):
         big = np.where(broken, z_arr, 1e9)  # unused lanes: any z the expansion serves
@@ -159,5 +162,5 @@ def log_modified_bessel_i(nu: float, z):
         for k in range(1, 5):
             term = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k * big))
             series = series + term
-        out = np.where(broken, big - 0.5 * np.log(2.0 * math.pi * big) + np.log(series), out)
+        out = np.where(broken, np.log(series) - 0.5 * np.log(2.0 * math.pi * big), out)
     return float(out) if out.ndim == 0 else out

@@ -319,15 +319,27 @@ def test_dt_bessel_stack_matches_lag_by_lag():
 def test_heat_laguerre_at_small_time_matches_mpmath(t, x):
     # log sinh t as t + log(-expm1(-2t)) - log 2 keeps its relative accuracy
     # as t -> 0, where t + log1p(-e^{-2t}) - log 2 was off by 1e-16/t
-    # relative.  What is left at t = 1e-8 is log I(xi) against the Gaussian
-    # exponent, xi = x^2/sinh t ~ 1e8
+    # relative; and the growth of I(xi), xi = x^2/sinh t ~ 1e8, is folded
+    # into the Gaussian exponent analytically, where log I(xi) and the
+    # exponent cancelled to eps * xi
     with mpmath.workdps(40):
         tm, xm = mpmath.mpf(t), mpmath.mpf(x)
         sh = mpmath.sinh(tm)
         ref = (xm / sh * mpmath.besseli(1, xm * xm / sh)
                * mpmath.exp(-xm * xm / mpmath.tanh(tm)))
-    rel = 1e-5 if t == 1e-8 else 1e-8
-    assert float(kn.heat_laguerre(1.5, t, x, x)) == pytest.approx(float(ref), rel=rel)
+    assert float(kn.heat_laguerre(1.5, t, x, x)) == pytest.approx(float(ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-9])
+@pytest.mark.parametrize("x", [1.0, 2.0])
+def test_heat_bessel_at_small_time_matches_mpmath(t, x):
+    # xi = x^2/2t reaches 2e9 at t = 1e-9, where scipy's ive is NaN and the
+    # large-xi expansion of the scaled log I serves; log I(xi) against the
+    # Gaussian exponent would cancel to eps * xi there
+    with mpmath.workdps(40):
+        tm, xm = mpmath.mpf(t), mpmath.mpf(x)
+        ref = xm / (2 * tm) * mpmath.besseli(1, xm * xm / (2 * tm)) * mpmath.exp(-xm * xm / (2 * tm))
+    assert float(kn.heat_bessel(1.5, t, x, x)) == pytest.approx(float(ref), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [1000.0, 9100.0])

@@ -76,6 +76,16 @@ def test_grid_validation():
         Grid1D(nodes=np.array([-1.0, 0.5]), domain="half-line", spacing="uniform")
 
 
+def test_grid_nodes_are_a_read_only_copy():
+    # kernel stacks are held by the grid, so its nodes must not change under them
+    src = np.array([0.5, 1.0, 2.0])
+    g = Grid1D(nodes=src, domain="half-line", spacing="graded")
+    src[:] = [3.0, 2.0, 1.0]
+    assert np.array_equal(g.nodes, [0.5, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        g.nodes[0] = 0.75
+
+
 def test_grid_integrate_gaussian_mass():
     g = Grid1D.symmetric(10.0, 500)
     vals = np.exp(-g.nodes ** 2) / math.sqrt(math.pi)
