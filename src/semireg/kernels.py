@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import digamma, gammaln, rgamma
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 from .quad import (
     IntegrationResult,
     gauss_jacobi_rule,
@@ -538,6 +538,17 @@ def _log_u_rule(t_min: float, level: int = 0):
     return u, u * np.tile(width * w, max(last - first, 0))
 
 
+def _eigenvalues(setting: KernelSetting, n: int):
+    """The n lowest eigenvalues of an oscillator setting, k + 1/2 (Hermite) or
+    2k + alpha + 1/2 (Laguerre) for k < n; CapabilityError for other settings."""
+    k = np.arange(n)
+    if setting.variant == "hermite":
+        return k + 0.5
+    if setting.variant == "laguerre":
+        return 2.0 * k + setting.alpha + 0.5
+    raise CapabilityError(f"{setting.describe()} has no discrete spectrum")
+
+
 def _subordination_rules(setting: KernelSetting, times, dt):
     """Blocks (rows, u, weights) of log-u rules covering every row (time, dt).
 
@@ -552,7 +563,7 @@ def _subordination_rules(setting: KernelSetting, times, dt):
     refines from t = 6.25 and raises past t ~ 27, where the mode's mass has
     slid below the first panel, min(t)^2/160.
     """
-    lam0 = 0.5 if setting.variant == "hermite" else setting.alpha + 0.5
+    lam0 = float(_eigenvalues(setting, 1)[0])
     root = math.sqrt(lam0)
     exact = np.exp(-root * times) * np.where(dt, -root, 1.0)
     rows = np.arange(times.size)

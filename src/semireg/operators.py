@@ -266,35 +266,41 @@ class _Term:
     piece: str | None = None
     reflected: bool = False
 
+    @property
+    def mass(self) -> int:
+        """Mass at the diagonal as t -> 0: 1 for an unreflected whole kernel
+        and pieces "1", "11" and "12"; 0 if reflected and for "13" and "2"."""
+        return int(not self.reflected and self.piece in (None, "1", "11", "12"))
+
 
 @dataclass(frozen=True)
 class _KernelFamily:
-    """Signed sum of kernel terms, ((sign, _Term), ...) with signs +-1, plus
-    the family's mass at the diagonal."""
+    """Signed sum of kernel terms, ((sign, _Term), ...) with signs +-1."""
 
     terms: tuple
-    identity_mass: float
+
+    @property
+    def mass(self) -> int:
+        """The family's mass at the diagonal: sum of sign * term mass."""
+        return sum(sign * term.mass for sign, term in self.terms)
 
 
 def _family_for(setting: KernelSetting) -> _KernelFamily:
-    return _KernelFamily(((1, _Term(setting)),), 1.0)
+    return _KernelFamily(((1, _Term(setting)),))
 
 
 def _family_reflected(setting: KernelSetting) -> _KernelFamily:
     if setting.domain != "real-line":
         raise DomainError("reflected kernels need a whole-line setting")
-    return _KernelFamily(((1, _Term(setting, reflected=True)),), 0.0)
+    return _KernelFamily(((1, _Term(setting, reflected=True)),))
 
 
 def _family_difference(fam_a: _KernelFamily, fam_b: _KernelFamily) -> _KernelFamily:
-    return _KernelFamily(
-        fam_a.terms + tuple((-sign, term) for sign, term in fam_b.terms),
-        fam_a.identity_mass - fam_b.identity_mass,
-    )
+    return _KernelFamily(fam_a.terms + tuple((-sign, term) for sign, term in fam_b.terms))
 
 
-def _family_bessel_piece(alpha: float, piece: str, mass: float) -> _KernelFamily:
-    return _KernelFamily(((1, _Term(KernelSetting("bessel", alpha=alpha), piece)),), mass)
+def _family_bessel_piece(alpha: float, piece: str) -> _KernelFamily:
+    return _KernelFamily(((1, _Term(KernelSetting("bessel", alpha=alpha), piece)),))
 
 
 def _kernel_tensors(term: _Term, grid: SpaceTimeGrid):
@@ -385,8 +391,7 @@ def _weighted_apply(
     nt = f.n_time
     if nt < 5:
         raise DomainError("the near-diagonal tail's fourth-order differences need 5 time samples")
-    steps = np.diff(f.grid.time.nodes)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+    if not f.grid.time.is_uniform:
         raise DomainError("operators need a uniform time grid: kernel lags are multiples of dt")
     dt = f.grid.dt
     nx, fib = f.n_space, f.fiber_dim
@@ -400,7 +405,7 @@ def _weighted_apply(
     h = _space_major(f.values - (delta / 2.0) * _time_derivative(f.values, dt))
     q = _signed_kernel([(sign, qv) for sign, (_, qv) in tensors], weight, buf)
     out = q @ (wy * h)
-    mass = family.identity_mass * (np.ones(nx) if weight is None else np.diag(weight))
+    mass = family.mass * (np.ones(nx) if weight is None else np.diag(weight))
     out -= mass[:, None] * h
     v = (dt * wy) * _space_major(f.values)
     for j, m in enumerate(range(_FIRST_LAG, nt)):
@@ -508,7 +513,7 @@ def difference_local_pieces(alpha: float, f: SampledField) -> dict:
     if f.grid.space.domain != "half-line":
         raise DomainError("piece split lives on the half-line")
     w = local_region_matrix(f.grid.space)
-    p = {s: _family_bessel_piece(alpha, s, m) for s, m in (("2", 0.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
+    p = {s: _family_bessel_piece(alpha, s) for s in ("2", "11", "12", "13")}
     full = _family_for(KernelSetting("bessel", alpha=alpha))
     fams = {
         "d1": _family_difference(_family_difference(full, p["2"]), p["11"]),
@@ -670,8 +675,7 @@ def hardy_littlewood_M(nodes: np.ndarray, h: np.ndarray) -> np.ndarray:
     and the half-width-0 rung reproduces |h| itself.
     """
     nodes = np.asarray(nodes, dtype=float)
-    step = np.diff(nodes)
-    if not np.allclose(step, step[0], rtol=1e-12, atol=0.0):
+    if not Grid1D(nodes, domain="interval").is_uniform:
         raise DomainError("hardy_littlewood_M needs uniform spacing")
     h = np.abs(np.asarray(h, dtype=float))
     n = nodes.size

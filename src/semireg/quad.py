@@ -164,7 +164,6 @@ def integrate_subordination(g, t: float) -> IntegrationResult:
 # ---------------------------------------------------------------------------
 
 _DOMAINS = ("real-line", "half-line", "interval")
-_SPACINGS = ("uniform", "graded")
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,6 @@ class Grid1D:
 
     nodes: np.ndarray
     domain: str
-    spacing: str = "uniform"
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -188,8 +186,6 @@ class Grid1D:
         object.__setattr__(self, "nodes", nodes)
         if self.domain not in _DOMAINS:
             raise DomainError(f"unknown domain tag {self.domain!r}")
-        if self.spacing not in _SPACINGS:
-            raise DomainError(f"unknown spacing tag {self.spacing!r}")
         if nodes.ndim != 1 or nodes.size < 2:
             raise DomainError("grid needs at least two nodes")
         if np.any(np.diff(nodes) <= 0.0):
@@ -206,7 +202,7 @@ class Grid1D:
             raise DomainError("need n >= 2")
         h = (b - a) / n
         nodes = a + h * (np.arange(n) + 0.5)
-        return cls(nodes=nodes, domain=domain, spacing="uniform")
+        return cls(nodes=nodes, domain=domain)
 
     @classmethod
     def symmetric(cls, half_width: float, n_half: int) -> "Grid1D":
@@ -216,7 +212,7 @@ class Grid1D:
         "half-line"), which makes reflection identities exact on nodes.
         """
         pos = Grid1D.uniform(0.0, half_width, n_half, domain="half-line").nodes
-        return cls(nodes=np.concatenate([-pos[::-1], pos]), domain="real-line", spacing="uniform")
+        return cls(nodes=np.concatenate([-pos[::-1], pos]), domain="real-line")
 
     @property
     def n(self) -> int:
@@ -226,6 +222,14 @@ class Grid1D:
     def step(self) -> float:
         """Uniform spacing (mean spacing for graded grids)."""
         return float(np.mean(np.diff(self.nodes)))
+
+    @property
+    def is_uniform(self) -> bool:
+        """Whether every step equals the first to relative 1e-12, up to the
+        rounding of the nodes themselves (a few ulps of the largest)."""
+        steps = np.diff(self.nodes)
+        ulps = 8.0 * np.finfo(float).eps * np.max(np.abs(self.nodes))
+        return bool(np.allclose(steps, steps[0], rtol=1e-12, atol=ulps))
 
     def cell_widths(self) -> np.ndarray:
         """Quadrature weights: cell widths around each node."""
@@ -237,7 +241,7 @@ class Grid1D:
 
     def positive_part(self) -> "Grid1D":
         mask = self.nodes > 0.0
-        return Grid1D(nodes=self.nodes[mask], domain="half-line", spacing=self.spacing)
+        return Grid1D(nodes=self.nodes[mask], domain="half-line")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Independent brute-force oracles for the kernel formulas.
 
-Eigenfunction-series kernels for the oscillator settings, the Hankel
-multiplier route to the Bessel Poisson kernel, finite-difference
-eigen-identity residuals, and spectral application of the generator's
-square root. Everything here is deliberately slow and direct; the point is
+Eigenfunction-series kernels for the oscillator settings (spectrum from
+_modes), the Hankel multiplier route to the Bessel Poisson kernel, the
+generator's eigen-identity residuals, and the spectral square root of the
+generator. Everything here is deliberately slow and direct; the point is
 independence from the closed forms in `kernels`.
 The Hankel routes share one graded frequency rule, dyadic toward z = 0;
 its error against a denser graded rule is measured in `_frequency_panels`.
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, NonConvergenceError
-from .kernels import KernelSetting
+from .errors import DomainError, NonConvergenceError
+from .kernels import KernelSetting, _eigenvalues, hermite, laguerre
 from .quad import Grid1D, gauss_legendre_panels
 from .specfun import (
     DEFAULT_INDEX_CAP,
@@ -33,12 +33,13 @@ __all__ = [
     "laguerre_heat_series",
     "heat_series_terms",
     "poisson_series_terms",
-    "hankel_transform",
     "hankel_poisson_oracle",
     "hankel_poisson_kernel_oracle",
     "eigen_identity_residual",
     "sqrt_generator_apply",
 ]
+
+_SQRT_MODES = 128  # oscillator modes in the spectral square root
 
 
 @dataclass(frozen=True)
@@ -53,73 +54,77 @@ class SeriesValue:
         return self.truncation_bound <= tol
 
 
-def _series_value(weights, hx, hy) -> float:
-    # largest index first: small terms accumulate before large ones
-    terms = weights * hx * hy
+def _modes(setting: KernelSetting, n: int, x):
+    """The n lowest eigenvalues of an oscillator setting and its orthonormal
+    eigenfunctions at x: (lambda, table of shape (n,) + x.shape).
+    CapabilityError for a setting without a discrete spectrum."""
+    lam = _eigenvalues(setting, n)
+    if setting.variant == "hermite":
+        return lam, hermite_function_table(n - 1, x, index_cap=n)
+    return lam, laguerre_function_table(n - 1, setting.alpha, x, index_cap=n)
+
+
+def _mode_sum(setting: KernelSetting, multiplier, t: float, x: float, y: float,
+              n_terms: int, index_cap: int) -> float:
+    """sum of multiplier(lambda_k) phi_k(x) phi_k(y) over k < n_terms, the
+    largest index first so that small terms accumulate before large ones."""
+    if t <= 0.0:
+        raise DomainError("series requires t > 0")
+    if n_terms < 1 or n_terms > index_cap:
+        raise DomainError(f"n_terms must lie in [1, {index_cap}]")
+    lam, table = _modes(setting, n_terms, np.array([x, y], dtype=float))
+    terms = multiplier(lam) * table[:, 0] * table[:, 1]
     return float(np.sum(terms[::-1]))
+
+
+def _heat_series(setting: KernelSetting, t: float, x: float, y: float, n_terms: int,
+                 index_cap: int) -> SeriesValue:
+    """Heat kernel as the sum of e^{-lambda_k t} phi_k(x) phi_k(y), k < N = n_terms,
+    with tail bound e^{-lambda_N t}/(1 - e^{-Delta t}), Delta the eigenvalue
+    spacing: a geometric series, the eigenfunctions bounded by 1."""
+    value = _mode_sum(setting, lambda lam: np.exp(-lam * t), t, x, y, n_terms, index_cap)
+    lam = _eigenvalues(setting, n_terms + 1)
+    bound = math.exp(-lam[-1] * t) / (1.0 - math.exp(-(lam[1] - lam[0]) * t))
+    return SeriesValue(value, bound, n_terms)
 
 
 def hermite_heat_series(t: float, x: float, y: float, n_terms: int,
                         index_cap: int = DEFAULT_INDEX_CAP) -> SeriesValue:
-    """Oscillator heat kernel as sum of e^{-(k+1/2)t} h_k(x) h_k(y), k < n_terms.
-
-    The reported truncation bound is e^{-(n_terms+1/2)t}/(1-e^{-t}), using a
-    unit amplitude bound on the eigenfunctions.
-    """
-    if t <= 0.0:
-        raise DomainError("series requires t > 0")
-    if n_terms < 1 or n_terms > index_cap:
-        raise DomainError(f"n_terms must lie in [1, {index_cap}]")
-    k = np.arange(n_terms)
-    w = np.exp(-(k + 0.5) * t)
-    hx = hermite_function_table(n_terms - 1, x, index_cap=index_cap)
-    hy = hermite_function_table(n_terms - 1, y, index_cap=index_cap)
-    bound = math.exp(-(n_terms + 0.5) * t) / (1.0 - math.exp(-t))
-    return SeriesValue(_series_value(w, hx, hy), bound, n_terms)
+    """Oscillator heat kernel as sum of e^{-(k+1/2)t} h_k(x) h_k(y), k < n_terms,
+    with the tail bound e^{-(n_terms+1/2)t}/(1-e^{-t})."""
+    return _heat_series(hermite(), t, x, y, n_terms, index_cap)
 
 
 def hermite_poisson_series(t: float, x: float, y: float, n_terms: int,
                            index_cap: int = DEFAULT_INDEX_CAP) -> SeriesValue:
-    """Oscillator Poisson kernel as sum of e^{-t sqrt(k+1/2)} h_k(x) h_k(y).
-
-    Tail bound from the integral comparison of e^{-t sqrt(s)}:
-    (2/t^2)(1 + t sqrt(N+1/2)) e^{-t sqrt(N+1/2)}.
-    """
-    if t <= 0.0:
-        raise DomainError("series requires t > 0")
-    if n_terms < 1 or n_terms > index_cap:
-        raise DomainError(f"n_terms must lie in [1, {index_cap}]")
-    k = np.arange(n_terms)
-    w = np.exp(-t * np.sqrt(k + 0.5))
-    hx = hermite_function_table(n_terms - 1, x, index_cap=index_cap)
-    hy = hermite_function_table(n_terms - 1, y, index_cap=index_cap)
-    root = math.sqrt(n_terms + 0.5)
-    bound = (2.0 / (t * t)) * (1.0 + t * root) * math.exp(-t * root)
-    return SeriesValue(_series_value(w, hx, hy), bound, n_terms)
+    """Oscillator Poisson kernel as sum of e^{-t sqrt(k+1/2)} h_k(x) h_k(y), k < n_terms,
+    with the tail bound (2/t^2)(1 + t r) e^{-t r}, r = sqrt(n_terms + 1/2)."""
+    value = _mode_sum(hermite(), lambda lam: np.exp(-t * np.sqrt(lam)), t, x, y,
+                      n_terms, index_cap)
+    return SeriesValue(value, _poisson_tail(t, n_terms), n_terms)
 
 
 def laguerre_heat_series(alpha: float, t: float, x: float, y: float, n_terms: int,
                          index_cap: int = DEFAULT_INDEX_CAP) -> SeriesValue:
-    """Laguerre-oscillator heat kernel as sum of e^{-(2k+a+1/2)t} f_k(x) f_k(y)."""
-    if t <= 0.0:
-        raise DomainError("series requires t > 0")
-    if n_terms < 1 or n_terms > index_cap:
-        raise DomainError(f"n_terms must lie in [1, {index_cap}]")
-    k = np.arange(n_terms)
-    w = np.exp(-(2.0 * k + alpha + 0.5) * t)
-    fx = laguerre_function_table(n_terms - 1, alpha, x, index_cap=index_cap)
-    fy = laguerre_function_table(n_terms - 1, alpha, y, index_cap=index_cap)
-    bound = math.exp(-(2.0 * n_terms + alpha + 0.5) * t) / (1.0 - math.exp(-2.0 * t))
-    return SeriesValue(_series_value(w, fx, fy), bound, n_terms)
+    """Laguerre-oscillator heat kernel as sum of e^{-(2k+a+1/2)t} f_k(x) f_k(y),
+    k < n_terms, with the tail bound e^{-(2 n_terms+a+1/2)t}/(1-e^{-2t})."""
+    return _heat_series(laguerre(alpha), t, x, y, n_terms, index_cap)
 
 
-def heat_series_terms(t: float, tol: float, gap: float = 1.0, rate: float = 1.0) -> int:
-    """Smallest N with e^{-(rate*N+gap/2)t}/(1-e^{-rate*t}) below tol."""
+def heat_series_terms(t: float, tol: float, rate: float = 1.0) -> int:
+    """Smallest N with e^{-rate*N*t}/(1-e^{-rate*t}) below tol: enough terms
+    for a heat series whose eigenvalues are spaced by rate."""
     if t <= 0.0 or tol <= 0.0:
         raise DomainError("need t > 0 and tol > 0")
     denom = 1.0 - math.exp(-rate * t)
     n = (math.log(1.0 / (tol * denom))) / (rate * t)
     return max(4, int(math.ceil(n)) + 1)
+
+
+def _poisson_tail(t: float, n: int) -> float:
+    """Oscillator Poisson series tail after n terms, by integral comparison of e^{-t sqrt(s)}."""
+    root = math.sqrt(n + 0.5)
+    return (2.0 / (t * t)) * (1.0 + t * root) * math.exp(-t * root)
 
 
 def poisson_series_terms(t: float, tol: float) -> int:
@@ -128,11 +133,18 @@ def poisson_series_terms(t: float, tol: float) -> int:
         raise DomainError("need t > 0 and tol > 0")
     n = 4
     while n < 10 ** 7:
-        root = math.sqrt(n + 0.5)
-        if (2.0 / (t * t)) * (1.0 + t * root) * math.exp(-t * root) <= tol:
+        if _poisson_tail(t, n) <= tol:
             return n
         n = int(n * 1.3) + 1
     raise NonConvergenceError("poisson series tail bound does not reach tolerance")
+
+
+def _multiplier_apply(table, weights, values, multiplier):
+    """A spectral multiplier along the last axis of sampled values: the
+    transform sum_j table[k, j] weights[j] values[..., j], times
+    multiplier[k], carried back through the table."""
+    coeff = np.tensordot(values * weights, table, axes=([-1], [1]))
+    return np.tensordot(coeff * multiplier, table, axes=([-1], [0]))
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +170,14 @@ def _frequency_panels(z_max: float, panel_len: float):
     return gauss_legendre_panels(edges, 8)
 
 
-def _hankel_matrix(nu: float, z, x):
-    """The (z x x) matrix sqrt(zx) J_nu(zx); its transpose is the x x z one."""
-    if not (np.all(z >= 0.0) and np.all(x >= 0.0)):
-        raise DomainError("Hankel nodes must be nonnegative")
-    arg = np.multiply.outer(z, x)
-    return np.sqrt(arg) * bessel_j(nu, arg)
-
-
 def _hankel_rule(nu: float, x, z_max: float = 40.0):
-    """Frequency rule (z, w) for samples on the nodes x; the Hankel matrix on it."""
+    """Frequency rule (z, w) for samples on the nodes x, and the (z x x)
+    Hankel matrix sqrt(zx) J_nu(zx) on it; its transpose is the x x z one."""
+    if not np.all(x >= 0.0):
+        raise DomainError("Hankel nodes must be nonnegative")
     z, w = _frequency_panels(z_max, math.pi / (2.0 * (np.max(x) + 1.0)))
-    return z, w, _hankel_matrix(nu, z, x)
+    arg = np.multiply.outer(z, x)
+    return z, w, np.sqrt(arg) * bessel_j(nu, arg)
 
 
 def _simpson_weights(x):
@@ -193,25 +201,6 @@ def _simpson_weights(x):
     return w
 
 
-def _samples(x_nodes, f_values):
-    """Node and sample arrays of a sampled function, checked to match."""
-    x, f = np.asarray(x_nodes, dtype=float), np.asarray(f_values, dtype=float)
-    if x.ndim != 1 or f.shape != x.shape:
-        raise DomainError("nodes and samples must be 1-D arrays of one length")
-    return x, f
-
-
-def hankel_transform(nu: float, x_nodes, f_values, z_nodes):
-    """Transform of sampled data: int sqrt(xz) J_nu(xz) f(x) dx at each z.
-
-    The x-samples must lie on a uniform grid (DomainError otherwise);
-    composite Simpson keeps the sample-integration error at fourth order.
-    """
-    x, f = _samples(x_nodes, f_values)
-    z = np.asarray(z_nodes, dtype=float)
-    return _hankel_matrix(nu, z, x) @ (_simpson_weights(x) * f)
-
-
 def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
                           z_max: float | None = None):
     """Poisson semigroup applied to a sampled function via the Hankel route.
@@ -219,14 +208,16 @@ def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
     Forward transform, multiplication by e^{-t z}, inverse transform (the
     transform is its own inverse, so one kernel matrix serves both ways).
     t = 0 performs a pure round-trip.  The x-samples must lie on a uniform
-    grid, as for hankel_transform.
+    grid (DomainError otherwise): composite Simpson keeps the
+    sample-integration error at fourth order.
     """
     if not (alpha > 0.0 and 0.0 <= t < math.inf):
         raise DomainError("need alpha > 0 and a finite t >= 0")
-    x, f = _samples(x_nodes, f_values)
+    x, f = np.asarray(x_nodes, dtype=float), np.asarray(f_values, dtype=float)
+    if x.ndim != 1 or f.shape != x.shape:
+        raise DomainError("nodes and samples must be 1-D arrays of one length")
     z, w, kernel = _hankel_rule(alpha - 0.5, x, 40.0 if z_max is None else z_max)
-    g = kernel @ (_simpson_weights(x) * f)
-    return kernel.T @ (g * np.exp(-t * z) * w)
+    return _multiplier_apply(kernel, _simpson_weights(x), f, np.exp(-t * z) * w)
 
 
 def hankel_poisson_kernel_oracle(alpha: float, t: float, x: float, y: float,
@@ -244,7 +235,7 @@ def hankel_poisson_kernel_oracle(alpha: float, t: float, x: float, y: float,
 
 
 # ---------------------------------------------------------------------------
-# Eigen-identity residuals by central finite differences
+# Eigen-identity residuals by three-point stencils
 # ---------------------------------------------------------------------------
 
 
@@ -263,37 +254,44 @@ def _generator_coefficients(setting: KernelSetting, x):
             0.5 * (x * x + a * (a - 1.0) / (x * x)))
 
 
-def _eigen_mode(setting: KernelSetting, mode, x):
-    """Eigenfunction samples and eigenvalue for the requested mode."""
-    if setting.variant == "hermite":
-        k = int(mode)
-        vals = np.array([hermite_function_table(k, xi)[k] for xi in np.atleast_1d(x)])
-        return vals, k + 0.5
-    if setting.variant == "laguerre":
-        k = int(mode)
-        a = setting.alpha
-        vals = np.array([laguerre_function_table(k, a, xi)[k] for xi in np.atleast_1d(x)])
-        return vals, 2.0 * k + a + 0.5
-    if setting.variant == "bessel":
-        y0 = float(mode)
-        nu = setting.nu
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.sqrt(xa * y0) * bessel_j(nu, xa * y0), y0 * y0
-    raise CapabilityError("classical setting has no normalizable eigenfunctions")
+def _stencil_apply(coeffs, nodes, values) -> np.ndarray:
+    """a f'' + b f' + c f at the interior nodes.
+
+    Three-point stencils on possibly non-uniform nodes; the first derivative
+    is second order, the second derivative is second order when the spacing
+    varies smoothly (the image of a uniform grid under a smooth map does).
+    """
+    x = np.asarray(nodes, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < 3:
+        raise DomainError("need at least three nodes")
+    if vals.shape[-1] != x.size:
+        raise DomainError("values and nodes disagree in length")
+    h1 = x[1:-1] - x[:-2]
+    h2 = x[2:] - x[1:-1]
+    fm = vals[..., :-2]
+    f0 = vals[..., 1:-1]
+    fp = vals[..., 2:]
+    d1 = (-h2 / (h1 * (h1 + h2))) * fm + ((h2 - h1) / (h1 * h2)) * f0 \
+        + (h1 / (h2 * (h1 + h2))) * fp
+    d2 = 2.0 * (fm / (h1 * (h1 + h2)) - f0 / (h1 * h2) + fp / (h2 * (h1 + h2)))
+    a, b, c = coeffs
+    return a * d2 + b * d1 + c * f0
 
 
 def eigen_identity_residual(setting: KernelSetting, mode, grid: Grid1D) -> float:
     """Max interior defect of (generator f - eigenvalue f) with the generator
-    applied by second-order central differences on the grid. Shrinks O(h^2)."""
-    if grid.spacing != "uniform":
-        raise DomainError("residual stencil requires a uniform grid")
+    applied by three-point stencils on the grid's nodes; f is oscillator mode
+    `mode`, or the Bessel eigenfunction at frequency `mode`.  Shrinks O(h^2)
+    on uniform and smoothly graded grids."""
     x = grid.nodes
-    h = grid.step
-    f, lam = _eigen_mode(setting, mode, x)
-    a, b, c = _generator_coefficients(setting, x[1:-1])
-    d2 = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    d1 = (f[2:] - f[:-2]) / (2.0 * h)
-    res = a * d2 + b * d1 + c * f[1:-1] - lam * f[1:-1]
+    if setting.variant == "bessel":
+        y0 = float(mode)
+        f, lam = np.sqrt(x * y0) * bessel_j(setting.nu, x * y0), y0 * y0
+    else:
+        lams, table = _modes(setting, int(mode) + 1, x)
+        f, lam = table[-1], lams[-1]
+    res = _stencil_apply(_generator_coefficients(setting, x[1:-1]), x, f) - lam * f[1:-1]
     return float(np.max(np.abs(res)))
 
 
@@ -302,20 +300,20 @@ def eigen_identity_residual(setting: KernelSetting, mode, grid: Grid1D) -> float
 # ---------------------------------------------------------------------------
 
 
-def sqrt_generator_apply(setting: KernelSetting, grid: Grid1D, values,
-                         n_modes: int = 128):
+def sqrt_generator_apply(setting: KernelSetting, grid: Grid1D, values):
     """Apply the square root of the generator along the last axis of `values`.
 
-    Classical: Fourier multiplier sqrt(c)|xi| with 4x zero padding.
-    Hermite/Laguerre: eigenfunction projection, multiply sqrt(eigenvalue).
-    Bessel: Hankel multiplier z (the generator's symbol is z^2).
+    Classical: Fourier multiplier sqrt(c)|xi| with 4x zero padding, on a
+    uniform grid only.  Hermite/Laguerre: projection on the lowest 128
+    eigenfunctions, multiply sqrt(eigenvalue).  Bessel: Hankel multiplier z
+    (the generator's symbol is z^2).
     """
     v = np.asarray(values, dtype=float)
     x = grid.nodes
     if v.shape[-1:] != x.shape:
         raise DomainError("values must have the grid's length along the last axis")
     if setting.variant == "classical":
-        if grid.spacing != "uniform":
+        if not grid.is_uniform:
             raise DomainError("Fourier application requires a uniform grid")
         n = x.size
         pad = 4 * n
@@ -325,16 +323,10 @@ def sqrt_generator_apply(setting: KernelSetting, grid: Grid1D, values,
         mult = math.sqrt(setting.diffusion) * np.abs(xi)
         out = np.fft.ifft(np.fft.fft(ext, axis=-1) * mult, axis=-1).real
         return out[..., :n]
-    w = grid.cell_widths()
-    if setting.variant == "hermite":
-        table = hermite_function_table(n_modes - 1, x, index_cap=max(n_modes, 256))
-        lam = np.sqrt(np.arange(n_modes) + 0.5)
-    elif setting.variant == "laguerre":
-        table = laguerre_function_table(n_modes - 1, setting.alpha, x,
-                                        index_cap=max(n_modes, 256))
-        lam = np.sqrt(2.0 * np.arange(n_modes) + setting.alpha + 0.5)
-    else:
+    if setting.variant == "bessel":
         z, wz, table = _hankel_rule(setting.nu, x)
-        lam = z * wz
-    coeff = np.tensordot(v * w, table, axes=([-1], [1]))
-    return np.tensordot(coeff * lam, table, axes=([-1], [0]))
+        multiplier = z * wz
+    else:
+        lam, table = _modes(setting, _SQRT_MODES, x)
+        multiplier = np.sqrt(lam)
+    return _multiplier_apply(table, grid.cell_widths(), v, multiplier)

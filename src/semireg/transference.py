@@ -29,11 +29,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError
-from .kernels import KernelSetting
+from .errors import DomainError
+from .kernels import KernelSetting, _eigenvalues
 from .quad import Grid1D, gauss_legendre_panels
-from .specfun import hermite_function, laguerre_function
-from .spectral_oracle import _generator_coefficients
+from .spectral_oracle import _generator_coefficients, _modes, _stencil_apply
 
 __all__ = [
     "ChartEntry",
@@ -259,31 +258,6 @@ def apply_UW_inverse(entry: ChartEntry, values, grid: Grid1D) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _stencil_apply(coeffs, nodes, values) -> np.ndarray:
-    """a f'' + b f' + c f at the interior nodes.
-
-    Three-point stencils on possibly non-uniform nodes; the first derivative
-    is second order, the second derivative is second order when the spacing
-    varies smoothly (the image of a uniform grid under the square map does).
-    """
-    x = np.asarray(nodes, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 3:
-        raise DomainError("need at least three nodes")
-    if vals.shape[-1] != x.size:
-        raise DomainError("values and nodes disagree in length")
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    fm = vals[..., :-2]
-    f0 = vals[..., 1:-1]
-    fp = vals[..., 2:]
-    d1 = (-h2 / (h1 * (h1 + h2))) * fm + ((h2 - h1) / (h1 * h2)) * f0 \
-        + (h1 / (h2 * (h1 + h2))) * fp
-    d2 = 2.0 * (fm / (h1 * (h1 + h2)) - f0 / (h1 * h2) + fp / (h2 * (h1 + h2)))
-    a, b, c = coeffs
-    return a * d2 + b * d1 + c * f0
-
-
 def apply_chart_operator(entry: ChartEntry, values, nodes) -> np.ndarray:
     """Target differential expression on interior nodes (output trimmed by one
     node at each end)."""
@@ -364,13 +338,12 @@ def check_conjugation(entry: ChartEntry, levels: int = 3, n0: int = 160,
 # ---------------------------------------------------------------------------
 
 
-def random_smooth_function(rng, n_bumps: int = 4, center_range=(1.0, 4.0),
-                           width_range=(0.4, 1.2)) -> Callable:
-    """Signed sum of Gaussian bumps; smooth and square integrable for every
-    catalog measure."""
-    centers = rng.uniform(*center_range, size=n_bumps)
-    widths = rng.uniform(*width_range, size=n_bumps)
-    amps = rng.uniform(0.5, 1.5, size=n_bumps) * rng.choice([-1.0, 1.0], size=n_bumps)
+def random_smooth_function(rng) -> Callable:
+    """Signed sum of four Gaussian bumps, centres in (1, 4) and widths in
+    (0.4, 1.2); smooth and square integrable for every catalog measure."""
+    centers = rng.uniform(1.0, 4.0, size=4)
+    widths = rng.uniform(0.4, 1.2, size=4)
+    amps = rng.uniform(0.5, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
 
     def fn(z):
         z = np.asarray(z, dtype=float)
@@ -446,23 +419,13 @@ def transferred_eigenfunction(entry: ChartEntry, k: int, nodes) -> np.ndarray:
     """
     z = np.asarray(nodes, dtype=float)
     x = np.sqrt(z) if entry.square_map else z
-    if entry.base.variant == "hermite":
-        eig = hermite_function(k, x)
-    elif entry.base.variant == "laguerre":
-        eig = laguerre_function(k, entry.base.alpha, x)
-    else:
-        raise CapabilityError("no discrete modes to transfer in this setting")
-    return eig / entry.weight(x)
+    _, table = _modes(entry.base, k + 1, x)
+    return table[k] / entry.weight(x)
 
 
 def chart_eigenvalue(entry: ChartEntry, k: int) -> float:
     """Eigenvalue of the target expression on transferred mode k."""
     if k < 0:
         raise DomainError(f"mode index must be >= 0, got {k}")
-    if entry.base.variant == "hermite":
-        lam = k + 0.5
-    elif entry.base.variant == "laguerre":
-        lam = 2.0 * k + entry.base.alpha + 0.5
-    else:
-        raise CapabilityError("no discrete modes to transfer in this setting")
+    lam = float(_eigenvalues(entry.base, k + 1)[k])
     return (lam - entry.conj_shift) / entry.conj_scale

@@ -117,7 +117,7 @@ class TestSampledField:
     def test_smooth_test_field_on_graded_space_grid(self, space):
         s = space.nodes
         r = (s - s[0]) / (s[-1] - s[0])
-        graded = Grid1D(s[0] + (s[-1] - s[0]) * r * r, domain=space.domain, spacing="graded")
+        graded = Grid1D(s[0] + (s[-1] - s[0]) * r * r, domain=space.domain)
         f = smooth_test_field(SpaceTimeGrid.uniform(1.0, 12, graded), mode=1)
         k = f.space_margin
         assert k >= 1
@@ -292,7 +292,7 @@ class TestApplyK:
         s = uniform.space.nodes
         # same size and end nodes, graded in between
         r = (s - s[0]) / (s[-1] - s[0])
-        graded_space = Grid1D(s[0] + (s[-1] - s[0]) * r * r, domain="half-line", spacing="graded")
+        graded_space = Grid1D(s[0] + (s[-1] - s[0]) * r * r, domain="half-line")
         graded = SpaceTimeGrid(time=uniform.time, space=graded_space, horizon=uniform.horizon)
         apply_K(BESSEL, smooth_test_field(uniform))
         f = _hann_field(graded)
@@ -328,7 +328,7 @@ class TestApplyK:
     def test_graded_time_grid_rejected(self):
         t = np.linspace(0.0, 1.0, 10)[1:-1] ** 1.5
         space = Grid1D.uniform(0.0, 3.0, 12, domain="half-line")
-        grid = SpaceTimeGrid(time=Grid1D(t, domain="interval", spacing="graded"), space=space, horizon=1.0)
+        grid = SpaceTimeGrid(time=Grid1D(t, domain="interval"), space=space, horizon=1.0)
         f = _hann_field(grid)
         with pytest.raises(DomainError):
             apply_K(BESSEL, f)
@@ -380,7 +380,7 @@ def _dense_apply(family, f, weight=None):
         kern = stack[m - 2]
         out[m:] += dt * np.einsum("xy,tyf->txf", kern, wy * f.values[: nt - m], optimize=True)
     g = _time_derivative(f.values, dt)
-    mass = family.identity_mass * diag[None, :, None]
+    mass = family.mass * diag[None, :, None]
     delta = 1.5 * dt
     out += np.einsum("xy,tyf->txf", q, wy * f.values, optimize=True) - mass * f.values
     out -= (delta / 2.0) * (np.einsum("xy,tyf->txf", q, wy * g, optimize=True) - mass * g)
@@ -389,8 +389,7 @@ def _dense_apply(family, f, weight=None):
 
 def _piece_families(alpha):
     # d1 is the whole kernel minus the obtuse half "2" and piece 11; k2 is "2"
-    p = {s: _family_bessel_piece(alpha, s, m)
-         for s, m in (("2", 0.0), ("11", 1.0), ("12", 1.0), ("13", 0.0))}
+    p = {s: _family_bessel_piece(alpha, s) for s in ("2", "11", "12", "13")}
     full = _family_for(KernelSetting("bessel", alpha=alpha))
     return {"d1": _family_difference(_family_difference(full, p["2"]), p["11"]),
             "d2": _family_difference(p["11"], p["12"]), "d3": p["13"], "k2": p["2"]}
@@ -455,13 +454,24 @@ class TestApplyAgainstDenseReference:
     @pytest.mark.parametrize("k", ["d1", "k2"])
     def test_piece_split_matches_angular_piece_one(self, k):
         # d1 and k2 through the angular piece 1: d1 = "1" - "11", k2 = whole - "1"
-        one, eleven = (_family_bessel_piece(1.5, s, 1.0) for s in ("1", "11"))
+        one, eleven = (_family_bessel_piece(1.5, s) for s in ("1", "11"))
         old = {"d1": _family_difference(one, eleven),
                "k2": _family_difference(_family_for(BESSEL), one)}[k]
         f = _kind_field(self.grids["half"], 1)
         got = difference_local_pieces(1.5, f)[k].values
         expect = _weighted_apply(old, f, _local(f))
         assert _normwise(got, expect.values) <= 1e-11
+
+    def test_family_mass_is_the_signed_sum_of_term_masses(self):
+        # whole kernels and the pieces that tend to the identity carry mass 1;
+        # reflected kernels, "13", "2" and every difference here carry 0
+        assert _family_for(BESSEL).mass == _family_for(HERMITE).mass == 1
+        assert _family_reflected(CL).mass == 0
+        assert [_family_bessel_piece(1.5, s).mass for s in ("1", "11", "12", "13", "2")] \
+            == [1, 1, 1, 0, 0]
+        assert _family_difference(_family_for(HERMITE), _family_for(CL_HALF)).mass == 0
+        assert {k: fam.mass for k, fam in _piece_families(1.5).items()} \
+            == {"d1": 0, "d2": 0, "d3": 0, "k2": 0}
 
     @pytest.mark.parametrize("kind", ["full-bessel", "global-bessel", "bessel-d1"])
     def test_off_benchmark_shape(self, kind):
@@ -588,7 +598,7 @@ class TestScalarOperators:
 class TestOperatorNorm:
     def test_hardy_norm_approaches_two(self):
         nodes = np.geomspace(1e-7, 1e7, 400)
-        grid = Grid1D(nodes, domain="half-line", spacing="graded")
+        grid = Grid1D(nodes, domain="half-line")
         root = np.sqrt(grid.cell_widths())
         mat = hardy_H0(grid, np.eye(grid.n)).T
         assert np.linalg.norm(root[:, None] * mat / root[None, :], 2) == pytest.approx(2.0, rel=5e-2)

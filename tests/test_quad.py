@@ -69,17 +69,26 @@ def test_symmetric_grid_mirrors_positive_part():
     assert np.array_equal(g.nodes, np.concatenate([-pos.nodes[::-1], pos.nodes]))
 
 
+@pytest.mark.parametrize("a,b,n", [(0.0, 1.0, 4), (-30.0, 30.0, 10000), (0.0, 100.0, 30000)])
+def test_uniformity_is_measured_from_the_nodes(a, b, n):
+    # the wide fine grids' steps differ by up to 3.4e-12 relative, from the
+    # rounding of their nodes alone; a graded grid is caught without a tag
+    g = Grid1D.uniform(a, b, n)
+    assert g.is_uniform and Grid1D.symmetric(b, n).is_uniform
+    assert not Grid1D(a + (b - a) * ((g.nodes - a) / (b - a)) ** 1.5, domain="interval").is_uniform
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
-        Grid1D(nodes=np.array([1.0, 0.5]), domain="real-line", spacing="uniform")
+        Grid1D(nodes=np.array([1.0, 0.5]), domain="real-line")
     with pytest.raises(DomainError):
-        Grid1D(nodes=np.array([-1.0, 0.5]), domain="half-line", spacing="uniform")
+        Grid1D(nodes=np.array([-1.0, 0.5]), domain="half-line")
 
 
 def test_grid_nodes_are_a_read_only_copy():
     # kernel stacks are held by the grid, so its nodes must not change under them
     src = np.array([0.5, 1.0, 2.0])
-    g = Grid1D(nodes=src, domain="half-line", spacing="graded")
+    g = Grid1D(nodes=src, domain="half-line")
     src[:] = [3.0, 2.0, 1.0]
     assert np.array_equal(g.nodes, [0.5, 1.0, 2.0])
     with pytest.raises(ValueError):

@@ -36,16 +36,20 @@ def test_heat_series_symmetric():
     assert a.value == pytest.approx(b.value, rel=1e-13)
 
 
-def test_truncation_bound_is_honest_and_monotone():
-    t, x, y = 0.35, 0.8, -0.4
+@pytest.mark.parametrize("series,point,ns", [
+    (so.hermite_heat_series, (0.35, 0.8, -0.4), (20, 40, 80)),
+    (lambda *a: so.laguerre_heat_series(0.8, *a), (0.35, 0.8, 0.4), (10, 20, 40)),
+], ids=["hermite", "laguerre"])
+def test_truncation_bound_is_honest_and_monotone(series, point, ns):
+    t, x, y = point
+    ref = series(t, x, y, 199)
     bounds = []
-    for n in (20, 40, 80):
-        sv = so.hermite_heat_series(t, x, y, n)
-        ref = so.hermite_heat_series(t, x, y, 199)
+    for n in ns:
+        sv = series(t, x, y, n)
         assert abs(sv.value - ref.value) <= sv.truncation_bound
         bounds.append(sv.truncation_bound)
     assert bounds[0] > bounds[1] > bounds[2]
-    assert so.hermite_heat_series(t, x, y, 80).converged_to(1e-6)
+    assert series(t, x, y, ns[-1]).converged_to(1e-6)
 
 
 def test_laguerre_series_spectral_gap_limit():
@@ -117,12 +121,15 @@ def test_hankel_oracle_linear():
 @pytest.mark.parametrize("a", [0.7, 1.5])
 @pytest.mark.parametrize("t", [0.0, 0.5])
 def test_hankel_oracle_is_transform_multiplier_inverse(a, t):
-    # forward transform, multiplier e^{-tz} w, then an explicitly built x-by-z inverse
+    # explicitly built z-by-x forward transform on Simpson weights, multiplier
+    # e^{-tz} w, then an explicitly built x-by-z inverse
     nu = a - 0.5
     x = Grid1D.uniform(0.0, 6.0, 120, domain="half-line").nodes
     f = x ** a * np.exp(-((x - 2.0) ** 2))
     z, w = so._frequency_panels(40.0, math.pi / (2.0 * (x.max() + 1.0)))
-    g = so.hankel_transform(nu, x, f, z) * np.exp(-t * z) * w
+    arg = np.multiply.outer(z, x)
+    forward = (np.sqrt(arg) * scipy.special.jv(nu, arg)) @ (so._simpson_weights(x) * f)
+    g = forward * np.exp(-t * z) * w
     arg = np.multiply.outer(x, z)
     expect = (np.sqrt(arg) * scipy.special.jv(nu, arg)) @ g
     got = so.hankel_poisson_oracle(a, t, x, f)
@@ -199,8 +206,6 @@ def test_hankel_routes_reject_negative_nodes():
     x = np.array([-0.5, 0.5, 1.0])
     with pytest.raises(DomainError):
         so.hankel_poisson_oracle(0.8, 0.5, x, np.ones(3))
-    with pytest.raises(DomainError):
-        so.hankel_transform(0.3, x, np.ones(3), np.array([1.0, 2.0]))
 
 
 def test_bessel_sqrt_generator_rejects_real_line_grid():
@@ -222,7 +227,7 @@ def test_simpson_weights_refuse_non_uniform_nodes():
     with pytest.raises(DomainError):
         so._simpson_weights(np.geomspace(0.1, 8.0, 21))
     with pytest.raises(DomainError):
-        so.hankel_transform(0.3, np.geomspace(0.1, 8.0, 21), np.ones(21), np.array([1.0, 2.0]))
+        so.hankel_poisson_oracle(0.8, 0.5, np.geomspace(0.1, 8.0, 21), np.ones(21))
 
 
 def test_hankel_routes_reject_mismatched_samples():
@@ -230,7 +235,9 @@ def test_hankel_routes_reject_mismatched_samples():
     with pytest.raises(DomainError):
         so.hankel_poisson_oracle(0.8, 0.5, x.nodes, np.ones(19))
     with pytest.raises(DomainError):
-        so.hankel_transform(0.3, x.nodes, np.ones(21), np.array([1.0, 2.0]))
+        so.hankel_poisson_oracle(0.8, 0.5, x.nodes, np.ones(21))
+    with pytest.raises(DomainError):
+        so.hankel_poisson_oracle(0.8, 0.5, x.nodes, np.ones((2, 20)))
     with pytest.raises(DomainError):
         so.sqrt_generator_apply(kn.bessel(1.5), x, np.ones((2, 19)))
 
@@ -253,10 +260,17 @@ def test_hankel_routes_reject_non_finite_arguments(bad):
 # ---------------------------------------------------------------------------
 
 
-def _residual_ladder(setting, mode, a, b, n0, levels=4):
+def _residual_ladder(setting, mode, a, b, n0, levels=4, grade=None):
+    # grade maps (0, 1) smoothly onto itself; the nodes are its image of a
+    # uniform grid, and the ladder refines that grid
     dom = "half-line" if setting.domain == "half-line" else "real-line"
-    return [so.eigen_identity_residual(setting, mode, Grid1D.uniform(a, b, n0 * 2 ** k, domain=dom))
-            for k in range(levels)]
+    out = []
+    for k in range(levels):
+        g = Grid1D.uniform(a, b, n0 * 2 ** k, domain=dom)
+        if grade is not None:
+            g = Grid1D(a + (b - a) * grade((g.nodes - a) / (b - a)), domain=dom)
+        out.append(so.eigen_identity_residual(setting, mode, g))
+    return out
 
 
 def test_eigen_residual_hermite_fine_grid():
@@ -264,14 +278,20 @@ def test_eigen_residual_hermite_fine_grid():
     assert so.eigen_identity_residual(kn.hermite(), 0, g) < 1e-6
 
 
-@pytest.mark.parametrize("setting,mode,a,b", [
-    (kn.hermite(), 0, -6.0, 6.0),
-    (kn.hermite(), 4, -6.0, 6.0),
-    (kn.bessel(1.5), 1.0, 0.5, 8.0),
-    (kn.laguerre(0.5), 1, 0.5, 8.0),
+def _sinh_grade(s):
+    # steps about 2.4 times longer at the ends than at the centre
+    return 0.5 + 0.5 * np.sinh(3.0 * (s - 0.5)) / math.sinh(1.5)
+
+
+@pytest.mark.parametrize("setting,mode,a,b,grade", [
+    (kn.hermite(), 0, -6.0, 6.0, None),
+    (kn.hermite(), 4, -6.0, 6.0, None),
+    (kn.hermite(), 4, -6.0, 6.0, _sinh_grade),
+    (kn.bessel(1.5), 1.0, 0.5, 8.0, None),
+    (kn.laguerre(0.5), 1, 0.5, 8.0, None),
 ])
-def test_eigen_residual_second_order(setting, mode, a, b):
-    res = _residual_ladder(setting, mode, a, b, 400)
+def test_eigen_residual_second_order(setting, mode, a, b, grade):
+    res = _residual_ladder(setting, mode, a, b, 400, grade=grade)
     orders = [math.log2(res[i] / res[i + 1]) for i in range(len(res) - 1)]
     assert min(orders) >= 1.8
 
@@ -299,6 +319,14 @@ def test_sqrt_generator_laguerre_eigenfunction():
     p2 = laguerre_function_table(2, 0.8, g.nodes)[2]
     out = so.sqrt_generator_apply(kn.laguerre(0.8), g, p2)
     assert np.max(np.abs(out - math.sqrt(5.3) * p2)) < 5e-4
+
+
+def test_sqrt_generator_classical_refuses_graded_grid():
+    # uniformity is measured from the nodes: no tag marks this grid graded
+    s = np.linspace(-1.0, 1.0, 64)
+    g = Grid1D(8.0 * s * (1.0 + s * s) / 2.0, domain="real-line")
+    with pytest.raises(DomainError):
+        so.sqrt_generator_apply(kn.classical(), g, np.exp(-g.nodes ** 2))
 
 
 def test_sqrt_generator_classical_squares_to_generator():
