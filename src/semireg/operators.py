@@ -644,11 +644,7 @@ def _maximal_convolution(nodes: np.ndarray, h: np.ndarray, kernel) -> np.ndarray
     absolute = np.abs(h)
     out = absolute.copy()
     diffs = nodes[:, None] - nodes[None, :]
-    widths = np.empty(nodes.size)
-    mid = 0.5 * (nodes[1:] + nodes[:-1])
-    widths[1:-1] = mid[1:] - mid[:-1]
-    widths[0] = mid[0] - (nodes[0] - 0.5 * (nodes[1] - nodes[0]))
-    widths[-1] = (nodes[-1] + 0.5 * (nodes[-1] - nodes[-2])) - mid[-1]
+    widths = Grid1D(nodes, domain="interval").cell_widths()
     count = max(int(math.ceil(math.log2(span * span / (step * step)))) + 1, 1)
     for u in step * step * np.power(2.0, np.arange(count)):
         mat = kernel(u, diffs) * widths[None, :]

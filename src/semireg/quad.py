@@ -24,7 +24,6 @@ import scipy.special
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "QuadratureRule",
     "IntegrationResult",
     "integrate",
     "integrate_or_raise",
@@ -34,26 +33,12 @@ __all__ = [
     "gauss_legendre_rule",
     "gauss_legendre_panels",
     "gauss_jacobi_rule",
-    "grid_integrate",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tolerance budget for adaptive integration."""
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be >= 10")
-
-
-DEFAULT_RULE = QuadratureRule()
+# adaptive integration budget
+_RTOL = 1e-10
+_ATOL = 1e-12
+_MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -63,30 +48,27 @@ class IntegrationResult:
     converged: bool
 
 
-def integrate(f, a: float, b: float, rule: QuadratureRule | None = None, points=None) -> IntegrationResult:
+def integrate(f, a: float, b: float) -> IntegrationResult:
     """Adaptive integral of f over (a, b); b may be numpy.inf.
 
     Non-convergence is never silent: the flag is False whenever the error
-    estimate exceeds the requested tolerances or the integrator reports
-    trouble.
+    estimate exceeds the tolerances (relative 1e-10, absolute 1e-12, within
+    200 subdivisions) or the integrator reports trouble.
     """
-    rule = rule or DEFAULT_RULE
-    kwargs = dict(epsabs=rule.atol, epsrel=rule.rtol, limit=rule.max_subdivisions, full_output=1)
-    if points is not None and not math.isinf(b):
-        kwargs["points"] = points
     import scipy.integrate  # deferred: it loads scipy.optimize and scipy.sparse
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = scipy.integrate.quad(f, a, b, **kwargs)
+        out = scipy.integrate.quad(f, a, b, epsabs=_ATOL, epsrel=_RTOL,
+                                   limit=_MAX_SUBDIVISIONS, full_output=1)
     value, err = out[0], out[1]
     ok = len(out) < 4  # a fourth element is scipy's warning message
-    converged = bool(ok and err <= max(rule.atol, rule.rtol * abs(value)) * 50.0)
+    converged = bool(ok and err <= max(_ATOL, _RTOL * abs(value)) * 50.0)
     return IntegrationResult(value=float(value), error=float(err), converged=converged)
 
 
-def integrate_or_raise(f, a, b, rule: QuadratureRule | None = None, points=None) -> float:
-    res = integrate(f, a, b, rule=rule, points=points)
+def integrate_or_raise(f, a, b) -> float:
+    res = integrate(f, a, b)
     if not res.converged:
         raise NonConvergenceError(
             f"integral did not converge: value={res.value:.6g}, error={res.error:.2g}"
@@ -281,14 +263,6 @@ class SpaceTimeGrid:
     @property
     def dt(self) -> float:
         return self.time.step
-
-
-def grid_integrate(values, grid: Grid1D) -> float:
-    """Composite (midpoint-cell) integral of sampled values over the grid."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != grid.n:
-        raise DomainError("values length does not match the grid")
-    return float(np.tensordot(values, grid.cell_widths(), axes=([-1], [0])))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "hermite_heat_series",
     "hermite_poisson_series",
     "laguerre_heat_series",
-    "heat_series_terms",
     "poisson_series_terms",
     "hankel_poisson_oracle",
     "hankel_poisson_kernel_oracle",
@@ -49,9 +48,6 @@ class SeriesValue:
     value: float
     truncation_bound: float
     terms: int
-
-    def converged_to(self, tol: float) -> bool:
-        return self.truncation_bound <= tol
 
 
 def _modes(setting: KernelSetting, n: int, x):
@@ -109,16 +105,6 @@ def laguerre_heat_series(alpha: float, t: float, x: float, y: float, n_terms: in
     """Laguerre-oscillator heat kernel as sum of e^{-(2k+a+1/2)t} f_k(x) f_k(y),
     k < n_terms, with the tail bound e^{-(2 n_terms+a+1/2)t}/(1-e^{-2t})."""
     return _heat_series(laguerre(alpha), t, x, y, n_terms, index_cap)
-
-
-def heat_series_terms(t: float, tol: float, rate: float = 1.0) -> int:
-    """Smallest N with e^{-rate*N*t}/(1-e^{-rate*t}) below tol: enough terms
-    for a heat series whose eigenvalues are spaced by rate."""
-    if t <= 0.0 or tol <= 0.0:
-        raise DomainError("need t > 0 and tol > 0")
-    denom = 1.0 - math.exp(-rate * t)
-    n = (math.log(1.0 / (tol * denom))) / (rate * t)
-    return max(4, int(math.ceil(n)) + 1)
 
 
 def _poisson_tail(t: float, n: int) -> float:
@@ -188,9 +174,9 @@ def _simpson_weights(x):
     n = x.size
     if n < 3:
         raise DomainError("Simpson weights need at least three nodes")
-    h = (x[-1] - x[0]) / (n - 1)
-    if not np.all(np.abs(np.diff(x) - h) <= 1e-8 * h):
+    if not Grid1D(x, domain="interval").is_uniform:
         raise DomainError("Simpson weights need uniform nodes")
+    h = (x[-1] - x[0]) / (n - 1)
     m = n - 1 + n % 2  # nodes under the plain Simpson rule
     w = np.zeros(n)
     w[1:m - 1] = np.where(np.arange(1, m - 1) % 2, 4.0, 2.0)
@@ -220,16 +206,14 @@ def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
     return _multiplier_apply(kernel, _simpson_weights(x), f, np.exp(-t * z) * w)
 
 
-def hankel_poisson_kernel_oracle(alpha: float, t: float, x: float, y: float,
-                                 z_max: float | None = None) -> float:
+def hankel_poisson_kernel_oracle(alpha: float, t: float, x: float, y: float) -> float:
     """Pointwise Bessel Poisson kernel through its continuous eigenexpansion:
     sqrt(xy) int_0^inf z e^{-tz} J_nu(xz) J_nu(yz) dz."""
     if not all(0.0 < v < math.inf for v in (alpha, t, x, y)):
         raise DomainError("all arguments must be positive and finite")
     nu = alpha - 0.5
     # e^{-tz} controls the tail; keep panels below a quarter oscillation
-    z_max = z_max if z_max is not None else max(40.0, 40.0 / t)
-    z, w = _frequency_panels(z_max, math.pi / (2.0 * (x + y + 1.0)))
+    z, w = _frequency_panels(max(40.0, 40.0 / t), math.pi / (2.0 * (x + y + 1.0)))
     vals = z * np.exp(-t * z) * bessel_j(nu, x * z) * bessel_j(nu, y * z)
     return math.sqrt(x * y) * float(np.sum(w * vals))
 
@@ -260,6 +244,8 @@ def _stencil_apply(coeffs, nodes, values) -> np.ndarray:
     Three-point stencils on possibly non-uniform nodes; the first derivative
     is second order, the second derivative is second order when the spacing
     varies smoothly (the image of a uniform grid under a smooth map does).
+    The second derivative is a difference of slopes: weighting the three
+    samples separately would cancel terms of size f/h^2 down to f''.
     """
     x = np.asarray(nodes, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -274,7 +260,7 @@ def _stencil_apply(coeffs, nodes, values) -> np.ndarray:
     fp = vals[..., 2:]
     d1 = (-h2 / (h1 * (h1 + h2))) * fm + ((h2 - h1) / (h1 * h2)) * f0 \
         + (h1 / (h2 * (h1 + h2))) * fp
-    d2 = 2.0 * (fm / (h1 * (h1 + h2)) - f0 / (h1 * h2) + fp / (h2 * (h1 + h2)))
+    d2 = 2.0 * ((fp - f0) / h2 - (f0 - fm) / h1) / (h1 + h2)
     a, b, c = coeffs
     return a * d2 + b * d1 + c * f0
 

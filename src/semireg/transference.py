@@ -217,13 +217,9 @@ _HALF_WINDOW = (0.2, 3.2)
 _REAL_WINDOW = (-6.0, 6.0)
 
 
-def source_grid(entry: ChartEntry, n: int, window=None) -> Grid1D:
+def source_grid(entry: ChartEntry, n: int) -> Grid1D:
     """Uniform companion-side grid; the target grid is its image under h."""
-    if window is None:
-        window = _REAL_WINDOW if entry.domain == "real-line" else _HALF_WINDOW
-    lo, hi = float(window[0]), float(window[1])
-    if entry.domain == "half-line" and lo <= 0.0:
-        raise DomainError("half-line window must start at a positive abscissa")
+    lo, hi = _REAL_WINDOW if entry.domain == "real-line" else _HALF_WINDOW
     return Grid1D.uniform(lo, hi, n, domain=entry.domain)
 
 
@@ -303,10 +299,10 @@ def _default_test(z: np.ndarray) -> Callable:
     return lambda s: np.exp(-(((s - zc) / w) ** 2)) * (1.0 + 0.3 * np.sin(1.5 * s))
 
 
-def check_conjugation(entry: ChartEntry, levels: int = 3, n0: int = 160,
-                      window=None, test: Optional[Callable] = None) -> ConjugationReport:
+def check_conjugation(entry: ChartEntry, levels: int = 3,
+                      test: Optional[Callable] = None) -> ConjugationReport:
     """Residual of conj_scale * target + conj_shift against the conjugated
-    companion, across grid halvings.
+    companion on source_grid with 160, 320, ... nodes.
 
     Both routes use second-order stencils on their own side of the
     substitution, so the residual must shrink at order about 2; a wrong
@@ -318,7 +314,7 @@ def check_conjugation(entry: ChartEntry, levels: int = 3, n0: int = 160,
     residuals = []
     fn = test
     for level in range(levels):
-        grid = source_grid(entry, n0 * 2**level, window=window)
+        grid = source_grid(entry, 160 * 2**level)
         x = grid.nodes
         z = target_nodes(entry, grid)
         if fn is None:

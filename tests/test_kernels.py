@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from semireg import kernels as kn
 from semireg.errors import DomainError
-from semireg.quad import Grid1D, grid_integrate
+from semireg.quad import Grid1D
 from semireg.spectral_oracle import (
     hankel_poisson_kernel_oracle,
-    heat_series_terms,
     hermite_heat_series,
     hermite_poisson_series,
     laguerre_heat_series,
@@ -80,8 +79,8 @@ def test_heat_classical_peak_and_mass():
 def test_heat_classical_semigroup_law():
     t, s, x, y = 0.3, 0.5, 0.4, -0.9
     g = Grid1D.symmetric(14.0, 4000)
-    comp = grid_integrate(
-        kn.heat_classical(t, x - g.nodes) * kn.heat_classical(s, g.nodes - y), g)
+    comp = (kn.heat_classical(t, x - g.nodes) * kn.heat_classical(s, g.nodes - y)) \
+        @ g.cell_widths()
     assert comp == pytest.approx(float(kn.heat_classical(t + s, x - y)), abs=1e-9)
 
 
@@ -550,11 +549,11 @@ def test_heat_hermite_symmetric():
 
 def test_heat_hermite_matches_series():
     worst = 0.0
-    for t in (0.1, 0.5, 2.0):
-        n = heat_series_terms(t, 1e-10)
+    for t, n in ((0.1, 255), (0.5, 49), (2.0, 13)):
         for x in (-3.5, 0.0, 1.2):
             for y in (-0.7, 2.0):
-                sv = hermite_heat_series(t, x, y, n, index_cap=max(n, 400))
+                sv = hermite_heat_series(t, x, y, n, index_cap=400)
+                assert sv.truncation_bound <= 1e-10
                 worst = max(worst, abs(sv.value - float(kn.heat_hermite(t, x, y))))
     assert worst < 1e-8
 
@@ -568,10 +567,10 @@ def test_heat_hermite_huge_time_ground_mode():
 def test_heat_laguerre_matches_series():
     worst = 0.0
     for a in (0.5, 1.3):
-        for t in (0.2, 0.6):
-            n = heat_series_terms(t, 1e-10, rate=2.0)
+        for t, n in ((0.2, 62), (0.6, 21)):
             for x in (0.1, 0.9, 3.0):
-                sv = laguerre_heat_series(a, t, x, 0.7, n, index_cap=max(n, 400))
+                sv = laguerre_heat_series(a, t, x, 0.7, n, index_cap=400)
+                assert sv.truncation_bound <= 1e-10
                 worst = max(worst, abs(sv.value - float(kn.heat_laguerre(a, t, x, 0.7))))
     assert worst < 1e-7
 
@@ -810,8 +809,7 @@ def test_heat_semigroup_law(setting, window):
                 g = Grid1D.uniform(window[0], window[1], 4000, domain="half-line")
             else:
                 g = Grid1D.symmetric(14.0, 4000)
-            comp = grid_integrate(
-                np.asarray(kn.heat_kernel(setting, t, x, g.nodes))
-                * np.asarray(kn.heat_kernel(setting, s, g.nodes, y)), g)
+            comp = (np.asarray(kn.heat_kernel(setting, t, x, g.nodes))
+                    * np.asarray(kn.heat_kernel(setting, s, g.nodes, y))) @ g.cell_widths()
             tgt = float(kn.heat_kernel(setting, t + s, x, y))
             assert abs(comp - tgt) / abs(tgt) < 1e-6
