@@ -34,7 +34,7 @@ from .operators import (
     hardy_littlewood_M,
     local_region_matrix,
 )
-from .quad import gauss_legendre_panels
+from .quad import Grid1D, gauss_legendre_panels
 
 __all__ = [
     "COMPARABILITY_C0",
@@ -145,17 +145,20 @@ def uncovered_points(cov: Covering) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _dilated_blocks(cov: Covering, x: np.ndarray) -> np.ndarray:
+    """(balls, nodes) mask of the nodes inside each ball's dilated block, of
+    radius (COMPARABILITY_C0 + 1) rho."""
+    return np.abs(x[None, :] - cov.centers[:, None]) < (COMPARABILITY_C0 + 1.0) * cov.radii[:, None]
+
+
 def multiplicity_matrix(cov: Covering, nodes) -> np.ndarray:
     """V(x, y) = number of balls with x inside and y inside the dilated
     block, of radius (COMPARABILITY_C0 + 1) rho."""
     x = np.asarray(nodes, dtype=float)
     if np.max(np.abs(x)) > cov.window:
         raise DomainError("nodes stick out of the covered window")
-    c = cov.centers[:, None]
-    r = cov.radii[:, None]
-    in_ball = (np.abs(x[None, :] - c) < r).astype(float)
-    in_block = (np.abs(x[None, :] - c) < (COMPARABILITY_C0 + 1.0) * r).astype(float)
-    return in_ball.T @ in_block
+    in_ball = (np.abs(x[None, :] - cov.centers[:, None]) < cov.radii[:, None]).astype(float)
+    return in_ball.T @ _dilated_blocks(cov, x).astype(float)
 
 
 def localized_operator_T(f: SampledField, cov: Covering) -> SampledField:
@@ -183,7 +186,7 @@ def domination_covering_difference(f: SampledField, cov: Covering) -> Domination
     critical radius, which is what the maximal average absorbs."""
     d = covering_difference(f, cov)
     lhs = d.fiber_norm()
-    rhs = hardy_littlewood_M(f.grid.space.nodes, _time_maximal_field(f))
+    rhs = hardy_littlewood_M(f.grid.space, _time_maximal_field(f))
     return _ratio_constant("covering-difference-maximal", lhs, rhs)
 
 
@@ -196,13 +199,11 @@ def region_sandwich_check(cov: Covering, nodes):
     COMPARABILITY_C0.  Both must be zero.
     """
     x = np.asarray(nodes, dtype=float)
-    V = multiplicity_matrix(cov, x)
-    union = V > 0.0
-    gap = np.abs(x[:, None] - x[None, :])
-    rho = critical_radius(x)[:, None]
-    local = gap < rho
+    union = multiplicity_matrix(cov, x) > 0.0
+    local = local_region_matrix(Grid1D(x, domain="real-line")) > 0.0
     missing = int(np.count_nonzero(local & ~union))
-    outer = gap <= COMPARABILITY_C0 * (COMPARABILITY_C0 + 2.0) * rho
+    gap = np.abs(x[:, None] - x[None, :])
+    outer = gap <= COMPARABILITY_C0 * (COMPARABILITY_C0 + 2.0) * critical_radius(x)[:, None]
     excess = int(np.count_nonzero(union & ~local & ~outer))
     return missing, excess
 
@@ -214,8 +215,7 @@ def block_sum_bound(f: SampledField, cov: Covering) -> DominationResult:
     # every block slice of every fiber component side by side on the fiber
     # axis of one field: one apply, and the squared norm of its output is
     # the sum of the blocks' squared norms
-    blocks = np.abs(f.grid.space.nodes[None, :] - cov.centers[:, None]) < (
-        COMPARABILITY_C0 + 1.0) * cov.radii[:, None]
+    blocks = _dilated_blocks(cov, f.grid.space.nodes)
     blocks = blocks[blocks.any(axis=1)]
     nt, nx, fib = f.values.shape
     sliced = f.values[:, :, None, :] * blocks.T[None, :, :, None]

@@ -45,10 +45,6 @@ from .specfun import log_modified_bessel_i
 
 __all__ = [
     "KernelSetting",
-    "classical",
-    "bessel",
-    "hermite",
-    "laguerre",
     "critical_radius",
     "poisson_classical",
     "dt_poisson_classical",
@@ -128,22 +124,6 @@ class KernelSetting:
         if self.alpha is not None:
             return f"{self.variant}(alpha={self.alpha:g})"
         return self.variant
-
-
-def classical(diffusion: float = 1.0) -> KernelSetting:
-    return KernelSetting("classical", diffusion=diffusion)
-
-
-def bessel(alpha: float) -> KernelSetting:
-    return KernelSetting("bessel", alpha=alpha)
-
-
-def hermite() -> KernelSetting:
-    return KernelSetting("hermite")
-
-
-def laguerre(alpha: float) -> KernelSetting:
-    return KernelSetting("laguerre", alpha=alpha)
 
 
 def critical_radius(x):

@@ -19,7 +19,11 @@ application with a different (x, y) weight matrix and kernel family.
 
 The module also hosts the scalar dominating operators from the comparison
 arguments (Hardy, maximal, band-averaging, log- and square-root kernels),
-and the catalog of pointwise kernel estimates checked as sup-ratios.
+and the catalog of pointwise kernel estimates checked as sup-ratios.  Each
+dominating operator takes the Grid1D it samples on.  The space operators
+act along the last axis of any array, so a batch of time rows is one call;
+the maximal functions P* and W* act along axis 0.  The Hardy averages read
+one cumulative integral, and the log and square-root kernels one band rule.
 """
 
 from __future__ import annotations
@@ -529,48 +533,71 @@ def difference_local_pieces(alpha: float, f: SampledField) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _edge_cumulative(grid: Grid1D, h: np.ndarray):
-    """Cumulative integral of samples h at cell edges (piecewise-linear F)."""
-    w = grid.cell_widths()
-    masses = h * w
-    edges = np.empty(grid.n + 1)
-    x = grid.nodes
-    mid = 0.5 * (x[1:] + x[:-1])
-    edges[1:-1] = mid
-    edges[0] = x[0] - 0.5 * w[0]
-    edges[-1] = x[-1] + 0.5 * w[-1]
-    cum = np.concatenate([[0.0], np.cumsum(masses, axis=-1)])
-    return edges, cum
+def _interp_matrix(nodes: np.ndarray, points: np.ndarray, weights) -> np.ndarray:
+    """(rows, n) matrix R with R @ v = sum over k of weights[:, k] * v~(points[:, k]),
+    where v~ joins the node values v linearly and vanishes outside the nodes;
+    points has shape (rows, k) and weights broadcasts against it."""
+    n = nodes.size
+    rows = points.shape[0]
+    j = np.clip(np.searchsorted(nodes, points, side="right") - 1, 0, n - 2)
+    t = (points - nodes[j]) / (nodes[j + 1] - nodes[j])
+    w = np.where((points >= nodes[0]) & (points <= nodes[-1]), weights, 0.0)
+    flat = (np.arange(rows)[:, None] * n + j).ravel()
+    mat = np.bincount(flat, (w * (1.0 - t)).ravel(), minlength=rows * n)
+    mat += np.bincount(flat + 1, (w * t).ravel(), minlength=rows * n)
+    return mat.reshape(rows, n)
+
+
+def _cumulative(grid: Grid1D, h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Integral of h from the window's start to each point, on the last axis.
+
+    The cell masses accumulate at the cell edges, are joined linearly
+    between them and held constant beyond the window; h has shape (..., n)
+    and the result (..., points.size).
+    """
+    x, w = grid.nodes, grid.cell_widths()
+    edges = np.concatenate([[x[0] - 0.5 * w[0]], 0.5 * (x[1:] + x[:-1]), [x[-1] + 0.5 * w[-1]]])
+    masses = np.asarray(h, dtype=float) * w
+    cum = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)], axis=-1)
+    inside = np.clip(points, edges[0], edges[-1])[:, None]
+    return cum @ _interp_matrix(edges, inside, 1.0).T
 
 
 def hardy_H0(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     """(1/x) * integral of h over (0, x) at each node x."""
-    h = np.asarray(h, dtype=float)
-    w = grid.cell_widths()
-    cum = np.cumsum(h * w, axis=-1)
-    half = 0.5 * h * w
-    return (cum - half) / grid.nodes
+    return _cumulative(grid, h, grid.nodes) / grid.nodes
+
+
+def _tail_integral(grid: Grid1D, h: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Integral of h(y)/y from each point to the window's end."""
+    cum = _cumulative(grid, np.asarray(h, dtype=float) / grid.nodes, np.append(points, np.inf))
+    return cum[..., -1:] - cum[..., :-1]
 
 
 def hardy_Hinf(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     """Integral of h(y)/y over (x, infinity), truncated at the grid window."""
-    h = np.asarray(h, dtype=float)
-    w = grid.cell_widths()
-    massed = h * w / grid.nodes
-    rev = np.cumsum(massed[..., ::-1], axis=-1)[..., ::-1]
-    return rev - 0.5 * massed
+    return _tail_integral(grid, h, grid.nodes)
 
 
 def averaging_L(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     """Band average (1/x) * integral of h over (x/2, 2x)."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1:
-        raise DomainError("averaging_L expects a single sample row")
-    edges, cum = _edge_cumulative(grid, h)
     x = grid.nodes
-    hi = np.interp(2.0 * x, edges, cum, left=cum[0], right=cum[-1])
-    lo = np.interp(0.5 * x, edges, cum, left=cum[0], right=cum[-1])
-    return (hi - lo) / x
+    cum = _cumulative(grid, h, np.concatenate([0.5 * x, 2.0 * x]))
+    return (cum[..., x.size:] - cum[..., :x.size]) / x
+
+
+def _band_apply(grid: Grid1D, h: np.ndarray, side: Callable) -> np.ndarray:
+    """h against a rule on the band (x/2, 2x) of each node x, on the last axis.
+
+    side(sign, a) gives the points y and weights, each of shape (n, k), of
+    the rule on the band's side of length a below x (sign -1, a = x/2) or
+    above it (sign +1, a = x).  Both sides fold into one (n, n) matrix by
+    linear interpolation on the nodes, so the cost of a row does not grow
+    with the rule's k.
+    """
+    x = grid.nodes
+    mat = sum(_interp_matrix(x, *side(sign, a)) for sign, a in ((-1.0, 0.5 * x), (1.0, x)))
+    return np.asarray(h, dtype=float) @ mat.T
 
 
 # log-kernel quadrature: dyadic panels toward the singular endpoint
@@ -584,25 +611,19 @@ def log_kernel_A(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     The logarithmic endpoint y = x is handled with geometrically graded
     panels on each side, nodes symmetric about the singularity.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1:
-        raise DomainError("log_kernel_A expects a single sample row")
     x = grid.nodes
     gl_nodes, gl_weights = gauss_legendre_rule(0.0, 1.0, _PANEL_NODES)
     # panel k covers z in (a 2^{-k-1}, a 2^{-k}); z = distance to the singularity
     scale_hi = np.power(0.5, np.arange(_LOG_PANELS))
-    out = np.zeros_like(x)
-    for sign, a in ((-1.0, 0.5 * x), (1.0, x)):
-        # z-panels for all nodes at once: shape (nx, panels, quad)
-        hi = a[:, None] * scale_hi[None, :]
+
+    def side(sign, a):
+        hi = (a[:, None] * scale_hi[None, :])[:, :, None]
         lo = 0.5 * hi
-        z = lo[:, :, None] + (hi - lo)[:, :, None] * gl_nodes[None, None, :]
-        wz = (hi - lo)[:, :, None] * gl_weights[None, None, :]
-        y = x[:, None, None] + sign * z
-        hy = np.interp(y.ravel(), x, h, left=0.0, right=0.0).reshape(y.shape)
-        kern = 1.0 + np.log(x[:, None, None] / z)
-        out += np.sum(kern * hy * wz, axis=(1, 2))
-    return out / x
+        z = (lo + (hi - lo) * gl_nodes).reshape(x.size, -1)
+        wz = ((hi - lo) * gl_weights).reshape(x.size, -1)
+        return x[:, None] + sign * z, (1.0 + np.log(x[:, None] / z)) * wz / x[:, None]
+
+    return _band_apply(grid, h, side)
 
 
 _SQRT_NODES = 48
@@ -614,37 +635,33 @@ def sqrt_kernel_N(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     The |x-y|^{-1/2} singularity is removed by the substitution z = w^2,
     after which plain Gauss-Legendre applies on each side of y = x.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1:
-        raise DomainError("sqrt_kernel_N expects a single sample row")
     x = grid.nodes
     gl_nodes, gl_weights = gauss_legendre_rule(0.0, 1.0, _SQRT_NODES)
-    out = np.zeros_like(x)
-    for sign, a in ((-1.0, 0.5 * x), (1.0, x)):
-        wmax = np.sqrt(a)
-        w = wmax[:, None] * gl_nodes[None, :]
-        ww = wmax[:, None] * gl_weights[None, :]
+
+    def side(sign, a):
+        wmax = np.sqrt(a)[:, None]
+        w = wmax * gl_nodes
         y = x[:, None] + sign * w * w
-        hy = np.interp(y.ravel(), x, h, left=0.0, right=0.0).reshape(y.shape)
-        out += np.sum(2.0 * hy / np.sqrt(y) * ww, axis=1)
-    return out
+        return y, 2.0 * wmax * gl_weights / np.sqrt(y)
+
+    return _band_apply(grid, h, side)
 
 
-def _maximal_convolution(nodes: np.ndarray, h: np.ndarray, kernel) -> np.ndarray:
+def _maximal_convolution(grid: Grid1D, h: np.ndarray, kernel) -> np.ndarray:
     """sup over a geometric u-ladder of row-normalized kernel averages of |h~0|.
 
-    h is indexed by nodes along axis 0 (zero-extension beyond the window);
-    the ladder doubles from the squared first node step to the squared node
-    span, and the |h| rung itself is included as the u -> 0 limit.
+    h is indexed by the grid's nodes along axis 0 (zero-extension beyond
+    the window); the ladder doubles from the squared first node step to the
+    squared node span, and the |h| rung itself is included as the u -> 0
+    limit.
     """
-    nodes = np.asarray(nodes, dtype=float)
+    nodes = grid.nodes
     step = float(nodes[1] - nodes[0])
     span = float(nodes[-1] - nodes[0])
-    h = np.asarray(h, dtype=float)
-    absolute = np.abs(h)
+    absolute = np.abs(np.asarray(h, dtype=float))
     out = absolute.copy()
     diffs = nodes[:, None] - nodes[None, :]
-    widths = Grid1D(nodes, domain="interval").cell_widths()
+    widths = grid.cell_widths()
     count = max(int(math.ceil(math.log2(span * span / (step * step)))) + 1, 1)
     for u in step * step * np.power(2.0, np.arange(count)):
         mat = kernel(u, diffs) * widths[None, :]
@@ -654,27 +671,26 @@ def _maximal_convolution(nodes: np.ndarray, h: np.ndarray, kernel) -> np.ndarray
     return out
 
 
-def maximal_P_star(nodes: np.ndarray, h: np.ndarray) -> np.ndarray:
+def maximal_P_star(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     """Discrete harmonic-extension maximal function along axis 0."""
-    return _maximal_convolution(nodes, h, lambda u, z: poisson_classical(u, z))
+    return _maximal_convolution(grid, h, poisson_classical)
 
 
-def maximal_W_star(nodes: np.ndarray, h: np.ndarray) -> np.ndarray:
+def maximal_W_star(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     """Discrete Gauss-kernel maximal function along axis 0."""
-    return _maximal_convolution(nodes, h, lambda u, z: heat_classical(u, z))
+    return _maximal_convolution(grid, h, heat_classical)
 
 
-def hardy_littlewood_M(nodes: np.ndarray, h: np.ndarray) -> np.ndarray:
+def hardy_littlewood_M(grid: Grid1D, h: np.ndarray) -> np.ndarray:
     """Centered maximal averages over dyadic windows, acting on the last axis.
 
     Uniform node spacing; the field is extended by zero beyond the window,
     and the half-width-0 rung reproduces |h| itself.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    if not Grid1D(nodes, domain="interval").is_uniform:
+    if not grid.is_uniform:
         raise DomainError("hardy_littlewood_M needs uniform spacing")
     h = np.abs(np.asarray(h, dtype=float))
-    n = nodes.size
+    n = grid.n
     cum = np.concatenate(
         [np.zeros(h.shape[:-1] + (1,)), np.cumsum(h, axis=-1)], axis=-1
     )
@@ -976,11 +992,11 @@ def _ratio_constant(identifier, lhs, rhs) -> DominationResult:
 
 def _time_maximal_field(f: SampledField) -> np.ndarray:
     """P_*-style input: the harmonic maximal function in t of the fiber norm."""
-    return maximal_P_star(f.grid.time.nodes, f.fiber_norm())
+    return maximal_P_star(f.grid.time, f.fiber_norm())
 
 
 def _heat_maximal_time(f: SampledField) -> np.ndarray:
-    return maximal_W_star(f.grid.time.nodes, f.fiber_norm())
+    return maximal_W_star(f.grid.time, f.fiber_norm())
 
 
 def domination_reflected_hardy(f: SampledField):
@@ -996,14 +1012,7 @@ def domination_reflected_hardy(f: SampledField):
 def _hardy_cut(grid: Grid1D, phi: np.ndarray) -> np.ndarray:
     """(1/x) integral over (0, x/2) plus integral of phi(y)/y over (2x, window]."""
     x = grid.nodes
-    out = np.empty_like(phi)
-    for i in range(phi.shape[0]):
-        edges, cum_low = _edge_cumulative(grid, phi[i])
-        _, cum_high = _edge_cumulative(grid, phi[i] / x)
-        low = np.interp(0.5 * x, edges, cum_low, left=0.0, right=cum_low[-1]) / x
-        high = cum_high[-1] - np.interp(2.0 * x, edges, cum_high, left=0.0, right=cum_high[-1])
-        out[i] = low + high
-    return out
+    return _cumulative(grid, phi, 0.5 * x) / x + _tail_integral(grid, phi, 2.0 * x)
 
 
 def domination_global_hardy(setting: KernelSetting, f: SampledField):
@@ -1019,9 +1028,9 @@ def domination_hermite_global(f: SampledField):
     """Oscillator global part against heat-maximal and windowed-maximal composites."""
     lhs = apply_K_global(KernelSetting("hermite"), f).fiber_norm()
     inner = _heat_maximal_time(f)  # (nt, nx)
-    x = f.grid.space.nodes
-    outer_heat = maximal_W_star(x, inner.T).T
-    outer_window = hardy_littlewood_M(x, inner)
+    grid = f.grid.space
+    outer_heat = maximal_W_star(grid, inner.T).T
+    outer_window = hardy_littlewood_M(grid, inner)
     rhs = outer_heat + outer_window
     return _ratio_constant("hermite-global-maximal", lhs, rhs)
 
@@ -1031,7 +1040,7 @@ def domination_hermite_local(f: SampledField):
     diff = apply_difference_local(
         KernelSetting("hermite"), KernelSetting("classical", diffusion=0.5), f
     ).fiber_norm()
-    rhs = hardy_littlewood_M(f.grid.space.nodes, _heat_maximal_time(f))
+    rhs = hardy_littlewood_M(f.grid.space, _heat_maximal_time(f))
     return _ratio_constant("hermite-local-maximal", diff, rhs)
 
 
@@ -1040,11 +1049,7 @@ def domination_laguerre_local(alpha: float, f: SampledField):
     diff = apply_difference_local(
         KernelSetting("hermite"), KernelSetting("laguerre", alpha=alpha), f
     ).fiber_norm()
-    inner = _heat_maximal_time(f)
-    grid = f.grid.space
-    rhs = np.empty_like(inner)
-    for i in range(inner.shape[0]):
-        rhs[i] = sqrt_kernel_N(grid, inner[i])
+    rhs = sqrt_kernel_N(f.grid.space, _heat_maximal_time(f))
     return _ratio_constant(f"laguerre-local-sqrt[alpha={alpha:g}]", diff, rhs)
 
 
@@ -1068,12 +1073,8 @@ def domination_bessel_pieces(alpha: float, f: SampledField) -> dict:
     """The three band-piece dominations of the half-line comparison argument."""
     pieces = difference_local_pieces(alpha, f)
     phi = _time_maximal_field(f)
-    grid = f.grid.space
-    band = np.empty_like(phi)
-    logband = np.empty_like(phi)
-    for i in range(phi.shape[0]):
-        band[i] = averaging_L(grid, phi[i])
-        logband[i] = log_kernel_A(grid, phi[i])
+    band = averaging_L(f.grid.space, phi)
+    logband = log_kernel_A(f.grid.space, phi)
     return {
         "d3": _ratio_constant("bessel-d3-averaging", pieces["d3"].fiber_norm(), band),
         "d1d2": _ratio_constant(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .kernels import KernelSetting, _eigenvalues, hermite, laguerre
+from .kernels import KernelSetting, _eigenvalues
 from .quad import Grid1D, gauss_legendre_panels
 from .specfun import (
     DEFAULT_INDEX_CAP,
@@ -88,14 +88,14 @@ def hermite_heat_series(t: float, x: float, y: float, n_terms: int,
                         index_cap: int = DEFAULT_INDEX_CAP) -> SeriesValue:
     """Oscillator heat kernel as sum of e^{-(k+1/2)t} h_k(x) h_k(y), k < n_terms,
     with the tail bound e^{-(n_terms+1/2)t}/(1-e^{-t})."""
-    return _heat_series(hermite(), t, x, y, n_terms, index_cap)
+    return _heat_series(KernelSetting("hermite"), t, x, y, n_terms, index_cap)
 
 
 def hermite_poisson_series(t: float, x: float, y: float, n_terms: int,
                            index_cap: int = DEFAULT_INDEX_CAP) -> SeriesValue:
     """Oscillator Poisson kernel as sum of e^{-t sqrt(k+1/2)} h_k(x) h_k(y), k < n_terms,
     with the tail bound (2/t^2)(1 + t r) e^{-t r}, r = sqrt(n_terms + 1/2)."""
-    value = _mode_sum(hermite(), lambda lam: np.exp(-t * np.sqrt(lam)), t, x, y,
+    value = _mode_sum(KernelSetting("hermite"), lambda lam: np.exp(-t * np.sqrt(lam)), t, x, y,
                       n_terms, index_cap)
     return SeriesValue(value, _poisson_tail(t, n_terms), n_terms)
 
@@ -104,7 +104,7 @@ def laguerre_heat_series(alpha: float, t: float, x: float, y: float, n_terms: in
                          index_cap: int = DEFAULT_INDEX_CAP) -> SeriesValue:
     """Laguerre-oscillator heat kernel as sum of e^{-(2k+a+1/2)t} f_k(x) f_k(y),
     k < n_terms, with the tail bound e^{-(2 n_terms+a+1/2)t}/(1-e^{-2t})."""
-    return _heat_series(laguerre(alpha), t, x, y, n_terms, index_cap)
+    return _heat_series(KernelSetting("laguerre", alpha=alpha), t, x, y, n_terms, index_cap)
 
 
 def _poisson_tail(t: float, n: int) -> float:

@@ -28,14 +28,14 @@ def test_setting_validation():
     with pytest.raises(DomainError):
         kn.KernelSetting("bessel")
     with pytest.raises(DomainError):
-        kn.bessel(-0.5)
+        kn.KernelSetting("bessel", alpha=-0.5)
     with pytest.raises(DomainError):
         kn.KernelSetting("hermite", alpha=1.0)
     with pytest.raises(DomainError):
         kn.KernelSetting("hermite", diffusion=0.5)
-    assert kn.classical(0.5).domain == "real-line"
-    assert kn.laguerre(1.3).domain == "half-line"
-    assert kn.bessel(0.7).nu == pytest.approx(0.2)
+    assert kn.KernelSetting("classical", diffusion=0.5).domain == "real-line"
+    assert kn.KernelSetting("laguerre", alpha=1.3).domain == "half-line"
+    assert kn.KernelSetting("bessel", alpha=0.7).nu == pytest.approx(0.2)
 
 
 def test_critical_radius_values():
@@ -485,7 +485,7 @@ def test_kernel_frozen_values():
                    kn.dt_poisson_bessel_piece(piece, a, t, x, y))
         assert float(got[0]) == pytest.approx(value, rel=1e-13)
         assert float(got[1]) == pytest.approx(dt, rel=1e-13)
-    for setting in (kn.hermite(), kn.laguerre(a)):
+    for setting in (kn.KernelSetting("hermite"), kn.KernelSetting("laguerre", alpha=a)):
         value, dt = FROZEN_SUBORDINATED[setting.variant]
         assert float(kn.poisson_kernel_grid(setting, t, x, y)) == pytest.approx(value, rel=1e-13)
         assert float(kn.dt_poisson_kernel_grid(setting, t, x, y)) == pytest.approx(dt, rel=1e-13)
@@ -493,7 +493,7 @@ def test_kernel_frozen_values():
 
 def test_subordinated_kernels_match_mpmath():
     a, t, x, y = 1.5, 0.37, 1.3, 0.8
-    for setting in (kn.hermite(), kn.laguerre(a)):
+    for setting in (kn.KernelSetting("hermite"), kn.KernelSetting("laguerre", alpha=a)):
         value, dt = MPMATH_SUBORDINATED[setting.variant]
         assert float(kn.poisson_kernel_grid(setting, t, x, y)) == pytest.approx(value, rel=3e-8)
         assert float(kn.dt_poisson_kernel_grid(setting, t, x, y)) == pytest.approx(dt, rel=3e-8)
@@ -615,7 +615,7 @@ def test_heat_laguerre_gaussian_envelope_stable():
 
 def test_subordinated_classical_poisson():
     for dz in (0.0, 1.0, 3.0):
-        res = kn.poisson_via_subordination(kn.classical(), 1.0, dz, 0.0)
+        res = kn.poisson_via_subordination(kn.KernelSetting("classical"), 1.0, dz, 0.0)
         assert res.converged
         assert res.value == pytest.approx(float(kn.poisson_classical(1.0, dz)), abs=1e-9)
 
@@ -632,7 +632,9 @@ def _quadpack_subordination(setting, t, x, y):
 def test_subordination_agrees_with_quadpack():
     # t in [0.3, 2], the range of the benchmark's pointwise subordination checks
     rng = np.random.default_rng(20221)
-    settings_ = (kn.classical(), kn.hermite(), kn.laguerre(1.5), kn.laguerre(0.6), kn.bessel(1.5))
+    settings_ = (kn.KernelSetting("classical"), kn.KernelSetting("hermite"),
+                 kn.KernelSetting("laguerre", alpha=1.5), kn.KernelSetting("laguerre", alpha=0.6),
+                 kn.KernelSetting("bessel", alpha=1.5))
     for i in range(30):
         setting = settings_[i % len(settings_)]
         low = -3.0 if setting.variant in ("classical", "hermite") else 0.05
@@ -649,7 +651,7 @@ def test_subordinated_hermite_matches_series_at_large_time():
     for t in (0.1, 5.0, 20.0, 50.0, 200.0):
         n = poisson_series_terms(t, 1e-10)
         series = hermite_poisson_series(t, 0.5, 0.4, n, index_cap=max(n + 1, 400)).value
-        res = kn.poisson_via_subordination(kn.hermite(), t, 0.5, 0.4)
+        res = kn.poisson_via_subordination(kn.KernelSetting("hermite"), t, 0.5, 0.4)
         assert res.converged
         assert res.value == pytest.approx(series, rel=1e-9, abs=0.0)
 
@@ -657,21 +659,24 @@ def test_subordinated_hermite_matches_series_at_large_time():
 def test_subordinated_laguerre_at_small_time():
     # the rule samples u near 1e-12, where the Laguerre heat kernel needs
     # log I_nu beyond z = 1e9
-    res = kn.poisson_via_subordination(kn.laguerre(1.5), 1e-3, 1.0, 1.2)
+    res = kn.poisson_via_subordination(kn.KernelSetting("laguerre", alpha=1.5), 1e-3, 1.0, 1.2)
     assert math.isfinite(res.value) and res.converged
-    assert res.value == pytest.approx(float(kn.poisson_kernel_grid(kn.laguerre(1.5), 1e-3, 1.0, 1.2)), rel=1e-6, abs=0.0)
+    lag = kn.KernelSetting("laguerre", alpha=1.5)
+    assert res.value == pytest.approx(float(kn.poisson_kernel_grid(lag, 1e-3, 1.0, 1.2)),
+                                      rel=1e-6, abs=0.0)
 
 
 def test_subordinated_grid_matches_scalar_route():
-    vals = kn.poisson_kernel_grid(kn.hermite(), 0.7, np.array([0.0, 1.0]), 0.5)
+    vals = kn.poisson_kernel_grid(kn.KernelSetting("hermite"), 0.7, np.array([0.0, 1.0]), 0.5)
     for v, x in zip(vals, (0.0, 1.0)):
-        res = kn.poisson_via_subordination(kn.hermite(), 0.7, x, 0.5)
+        res = kn.poisson_via_subordination(kn.KernelSetting("hermite"), 0.7, x, 0.5)
         assert v == pytest.approx(res.value, abs=1e-9)
 
 
 def test_subordinated_hermite_poisson_symmetric():
-    assert float(kn.poisson_kernel_grid(kn.hermite(), 0.6, 1.3, -0.2)) == pytest.approx(
-        float(kn.poisson_kernel_grid(kn.hermite(), 0.6, -0.2, 1.3)), rel=1e-12)
+    her = kn.KernelSetting("hermite")
+    assert float(kn.poisson_kernel_grid(her, 0.6, 1.3, -0.2)) == pytest.approx(
+        float(kn.poisson_kernel_grid(her, 0.6, -0.2, 1.3)), rel=1e-12)
 
 
 def test_subordinated_hermite_matches_poisson_series():
@@ -680,12 +685,15 @@ def test_subordinated_hermite_matches_poisson_series():
         n = poisson_series_terms(t, 1e-8)
         for x, y in ((0.0, 0.5), (1.0, -1.5)):
             sv = hermite_poisson_series(t, x, y, n, index_cap=max(n, 400))
-            pg = float(kn.poisson_kernel_grid(kn.hermite(), t, x, y))
+            pg = float(kn.poisson_kernel_grid(kn.KernelSetting("hermite"), t, x, y))
             worst = max(worst, abs(sv.value - pg))
     assert worst < 1e-6
 
 
-@pytest.mark.parametrize("setting", [kn.classical(), kn.bessel(1.5), kn.hermite(), kn.laguerre(1.5)])
+@pytest.mark.parametrize("setting", [
+    kn.KernelSetting("classical"), kn.KernelSetting("bessel", alpha=1.5),
+    kn.KernelSetting("hermite"), kn.KernelSetting("laguerre", alpha=1.5),
+])
 def test_kernel_grid_stacks_one_kernel_per_time(setting):
     x = np.linspace(0.1, 3.0, 7)
     X, Y = x[:, None], x[None, :]
@@ -735,7 +743,7 @@ MPMATH_LAGUERRE_T10 = (5.6034798636581735e-07, -7.927132822903831e-07)
 
 
 def test_subordination_refines_or_raises_at_large_times():
-    lag = kn.laguerre(1.5)
+    lag = kn.KernelSetting("laguerre", alpha=1.5)
     value, dt = MPMATH_LAGUERRE_T10
     assert float(kn.poisson_kernel_grid(lag, 10.0, 1.0, 1.2)) == pytest.approx(value, rel=1e-9)
     assert float(kn.dt_poisson_kernel_grid(lag, 10.0, 1.0, 1.2)) == pytest.approx(dt, rel=1e-9)
@@ -748,7 +756,7 @@ def test_subordination_refines_or_raises_at_large_times():
         for row, t in zip(stack, times):
             one = fn(lag, t, X, Y)
             assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
-    for setting in (lag, kn.hermite()):
+    for setting in (lag, kn.KernelSetting("hermite")):
         for fn in (kn.poisson_kernel_grid, kn.dt_poisson_kernel_grid):
             with pytest.raises(DomainError):
                 fn(setting, 300.0, 1.0, 1.2)
@@ -760,7 +768,8 @@ def test_dt_poisson_grid_matches_difference_quotient():
     # 4th-order stencil with a wide step: keeps the quadrature noise of the
     # kernel evaluations from being amplified by 1/h
     t, h = 0.8, 0.02
-    for setting, x, y in ((kn.hermite(), 0.7, -0.3), (kn.laguerre(1.3), 0.9, 1.4)):
+    for setting, x, y in ((kn.KernelSetting("hermite"), 0.7, -0.3),
+                          (kn.KernelSetting("laguerre", alpha=1.3), 0.9, 1.4)):
         p = lambda tt: float(kn.poisson_kernel_grid(setting, tt, x, y))
         fd = (-p(t + 2 * h) + 8 * p(t + h) - 8 * p(t - h) + p(t - 2 * h)) / (12 * h)
         assert float(kn.dt_poisson_kernel_grid(setting, t, x, y)) == pytest.approx(
@@ -784,8 +793,9 @@ def _random_args(rng, setting, n):
 
 
 @pytest.mark.parametrize("setting", [
-    kn.classical(), kn.bessel(0.7), kn.bessel(1.5), kn.hermite(),
-    kn.laguerre(0.5), kn.laguerre(1.3),
+    kn.KernelSetting("classical"), kn.KernelSetting("bessel", alpha=0.7),
+    kn.KernelSetting("bessel", alpha=1.5), kn.KernelSetting("hermite"),
+    kn.KernelSetting("laguerre", alpha=0.5), kn.KernelSetting("laguerre", alpha=1.3),
 ])
 def test_heat_kernels_nonnegative(setting):
     rng = np.random.default_rng(11)
@@ -796,10 +806,10 @@ def test_heat_kernels_nonnegative(setting):
 
 
 @pytest.mark.parametrize("setting,window", [
-    (kn.classical(), None),
-    (kn.hermite(), None),
-    (kn.bessel(0.7), (0.0, 16.0)),
-    (kn.laguerre(1.3), (0.0, 16.0)),
+    (kn.KernelSetting("classical"), None),
+    (kn.KernelSetting("hermite"), None),
+    (kn.KernelSetting("bessel", alpha=0.7), (0.0, 16.0)),
+    (kn.KernelSetting("laguerre", alpha=1.3), (0.0, 16.0)),
 ])
 def test_heat_semigroup_law(setting, window):
     pairs = [(0.9, 1.4), (0.4, 2.1), (1.7, 0.6)] if window else [(0.3, -0.4), (-1.2, 0.8), (0.1, 1.9)]

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -546,35 +547,35 @@ class TestScalarOperators:
             assert out[i] == pytest.approx(3.3335435008312437, abs=1e-9)
 
     def test_maximal_bounds(self):
-        t = Grid1D.uniform(0.0, 1.0, 48, domain="interval").nodes
-        h = np.sin(2 * np.pi * t) ** 3
+        t = Grid1D.uniform(0.0, 1.0, 48, domain="interval")
+        h = np.sin(2 * np.pi * t.nodes) ** 3
         for star in (maximal_P_star, maximal_W_star):
             out = star(t, h)
             assert np.all(out >= np.abs(h) - 1e-14)
             assert np.max(out) <= np.max(np.abs(h)) + 1e-12
 
     def test_maximal_monotone(self):
-        t = Grid1D.uniform(0.0, 1.0, 48, domain="interval").nodes
-        small = np.abs(np.sin(2 * np.pi * t))
+        t = Grid1D.uniform(0.0, 1.0, 48, domain="interval")
+        small = np.abs(np.sin(2 * np.pi * t.nodes))
         large = small + 0.5
         assert np.all(maximal_P_star(t, large) >= maximal_P_star(t, small) - 1e-14)
 
     def test_hardy_littlewood_window_bounds(self):
-        t = np.linspace(0.0, 1.0, 64)
-        h = np.cos(3 * np.pi * t)
+        t = Grid1D(np.linspace(0.0, 1.0, 64), domain="interval")
+        h = np.cos(3 * np.pi * t.nodes)
         out = hardy_littlewood_M(t, h)
         assert np.all(out >= np.abs(h) - 1e-14)
         assert np.max(out) <= np.max(np.abs(h)) + 1e-14
 
     def test_hardy_littlewood_needs_uniform_nodes(self):
         with pytest.raises(DomainError):
-            hardy_littlewood_M(np.geomspace(0.1, 1.0, 16), np.ones(16))
+            hardy_littlewood_M(Grid1D(np.geomspace(0.1, 1.0, 16), domain="interval"), np.ones(16))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
     def test_hardy_littlewood_homogeneous(self, a):
-        t = np.linspace(0.0, 1.0, 32)
-        h = np.sin(5 * t)
+        t = Grid1D(np.linspace(0.0, 1.0, 32), domain="interval")
+        h = np.sin(5 * t.nodes)
         np.testing.assert_allclose(
             hardy_littlewood_M(t, a * h), abs(a) * hardy_littlewood_M(t, h), atol=1e-12
         )
@@ -582,12 +583,38 @@ class TestScalarOperators:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=6))
     def test_maximal_subadditive(self, k):
-        t = Grid1D.uniform(0.0, 1.0, 32, domain="interval").nodes
-        f = np.sin((k + 1) * t)
-        g = np.cos(2 * t + k)
+        t = Grid1D.uniform(0.0, 1.0, 32, domain="interval")
+        f = np.sin((k + 1) * t.nodes)
+        g = np.cos(2 * t.nodes + k)
         lhs = maximal_P_star(t, f + g)
         rhs = maximal_P_star(t, f) + maximal_P_star(t, g)
         assert np.all(lhs <= rhs + 1e-12)
+
+    def test_space_operators_act_on_the_last_axis(self):
+        # a (k, nx) batch gives the k row-by-row results
+        grid = Grid1D.uniform(0.0, 6.0, 40, domain="half-line")
+        rows = np.abs(np.random.default_rng(3).standard_normal((5, grid.n)))
+        for op in (hardy_H0, hardy_Hinf, averaging_L, log_kernel_A, sqrt_kernel_N,
+                   hardy_littlewood_M):
+            batch = op(grid, rows)
+            assert batch.shape == rows.shape
+            for row, out in zip(rows, batch):
+                np.testing.assert_allclose(out, op(grid, row), rtol=1e-15, atol=0.0)
+
+    def test_band_kernels_memory_does_not_grow_with_rows(self):
+        # the band rule folds into one (nx, nx) matrix: no per-row gather
+        grid = Grid1D.uniform(0.0, 6.0, 64, domain="half-line")
+        for op in (log_kernel_A, sqrt_kernel_N):
+            peaks = []
+            for k in (8, 512):
+                rows = np.ones((k, grid.n))
+                tracemalloc.start()
+                try:
+                    op(grid, rows)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.5 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

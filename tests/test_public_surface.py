@@ -1,10 +1,11 @@
-"""Every exported semireg name has a caller in the package or the benchmark.
+"""Every exported semireg name has a caller in the package or the benchmark,
+and every defaulted parameter of an exported function is passed by one.
 
 The package's public surface is what src/semireg and perfbench call; a name
-that only the tests call is test scaffolding and belongs in the tests.  This
-test reads the sources with ast (it imports and writes nothing) and resolves
-each reference to the module that defines it, so an attribute such as
-scipy.integrate does not count as a call of quad.integrate.
+or a knob that only the tests use is test scaffolding and belongs in the
+tests.  This test reads the sources with ast (it imports and writes nothing)
+and resolves each reference to the module that defines it, so an attribute
+such as scipy.integrate does not count as a call of quad.integrate.
 
 Exported means listed in a module's __all__, or a public function of
 specfun, which has no __all__.  perfbench/spans.py is not a caller: it hooks
@@ -34,10 +35,6 @@ ALLOWED_BY_REASON = {
         ("transference", "transferred_eigenfunction"),
         ("transference", "chart_eigenvalue"),
     ),
-    "setting constructors, one per family": (
-        ("kernels", "classical"),
-        ("kernels", "bessel"),
-    ),
     "trace hooks in perfbench/spans.py GROUPS": (
         ("operators", "apply_K_plus"),
         ("quad", "integrate"),
@@ -48,6 +45,24 @@ ALLOWED_BY_REASON = {
     ),
 }
 ALLOWED = {name for names in ALLOWED_BY_REASON.values() for name in names}
+
+# defaulted parameters that no caller passes, kept on purpose: reason ->
+# (module, function, parameter)
+ALLOWED_PARAMETERS_BY_REASON = {
+    "a shorter cutoff keeps the tier-1 Hankel round trip fast (0.90 s against "
+    "1.62 s at the default)": (
+        ("spectral_oracle", "hankel_poisson_oracle", "z_max"),
+    ),
+    "lifts the cap guard for the 255-term truncation tests": (
+        ("spectral_oracle", "hermite_heat_series", "index_cap"),
+        ("spectral_oracle", "laguerre_heat_series", "index_cap"),
+    ),
+    "trace hooks in perfbench/spans.py GROUPS, deleted with their functions": (
+        ("specfun", "hermite_function", "index_cap"),
+        ("specfun", "laguerre_function", "index_cap"),
+    ),
+}
+ALLOWED_PARAMETERS = {p for params in ALLOWED_PARAMETERS_BY_REASON.values() for p in params}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -83,9 +98,9 @@ def _package_module(node: ast.ImportFrom, own_package: bool):
     return None
 
 
-def _references(path: Path, own_module) -> set:
-    """(module, name) of every semireg name that the file loads."""
-    tree = _parse(path)
+def _resolver(tree: ast.Module, own_module):
+    """A function that gives the (module, name) of the semireg name an
+    expression loads, or None."""
     names = {}    # local name -> (module, name)
     modules = {}  # local name -> semireg module
     for node in ast.walk(tree):
@@ -105,24 +120,69 @@ def _references(path: Path, own_module) -> set:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         names.setdefault(target.id, (own_module, target.id))
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
-            refs.add(names[node.id])
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in modules):
-            refs.add((modules[node.value.id], node.attr))
-    return refs
+
+    def resolve(node):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return names.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return (modules[node.value.id], node.attr)
+        return None
+
+    return resolve
+
+
+def _caller_trees():
+    """(tree, own module or None) of every file whose calls count."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield _parse(path), path.stem
+    for path in sorted(BENCH.glob("*.py")):
+        if path.name != "spans.py":
+            yield _parse(path), None
 
 
 def _callers() -> set:
+    """(module, name) of every semireg name that a counted file loads."""
     refs = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        refs |= _references(path, path.stem)
-    for path in sorted(BENCH.glob("*.py")):
-        if path.name != "spans.py":
-            refs |= _references(path, None)
+    for tree, own_module in _caller_trees():
+        resolve = _resolver(tree, own_module)
+        refs |= {ref for ref in map(resolve, ast.walk(tree)) if ref is not None}
     return refs
+
+
+def _passed() -> dict:
+    """(module, name) -> (positional count, keyword names, spread) of each
+    call that a counted file makes; a spread call, with *args or **kwargs,
+    passes everything."""
+    out = {}
+    for tree, own_module in _caller_trees():
+        resolve = _resolver(tree, own_module)
+        for node in ast.walk(tree):
+            ref = isinstance(node, ast.Call) and resolve(node.func)
+            if not ref:
+                continue
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords)
+            out.setdefault(ref, []).append((len(node.args), {k.arg for k in node.keywords}, spread))
+    return out
+
+
+def _defaulted_parameters() -> set:
+    """(module, function, parameter, position) of every defaulted parameter
+    of an exported function; keyword-only parameters have position None."""
+    exports, out = _exports(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in _parse(path).body:
+            if not isinstance(node, ast.FunctionDef) or (module, node.name) not in exports:
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            out |= {(module, node.name, a.arg, i)
+                    for i, a in enumerate(positional) if i >= first}
+            out |= {(module, node.name, a.arg, None)
+                    for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None}
+    return out
 
 
 def test_every_export_has_a_caller():
@@ -134,3 +194,21 @@ def test_every_export_has_a_caller():
 def test_allow_list_names_exports():
     # a deleted or renamed name leaves the list with it
     assert not sorted(f"{m}.{n}" for m, n in ALLOWED - _exports())
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _passed()
+    unpassed = []
+    for module, name, param, position in sorted(_defaulted_parameters(), key=str):
+        if (module, name, param) in ALLOWED_PARAMETERS:
+            continue
+        if not any(spread or param in keywords or (position is not None and count > position)
+                   for count, keywords, spread in calls.get((module, name), ())):
+            unpassed.append(f"{module}.{name}({param})")
+    assert not unpassed, f"defaulted parameters that only tests set: {unpassed}"
+
+
+def test_parameter_allow_list_names_parameters():
+    # a deleted or renamed parameter leaves the list with it
+    known = {(m, n, p) for m, n, p, _ in _defaulted_parameters()}
+    assert not sorted(f"{m}.{n}({p})" for m, n, p in ALLOWED_PARAMETERS - known)

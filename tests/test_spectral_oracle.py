@@ -186,7 +186,7 @@ def test_hankel_routes_match_dense_graded_reference(a):
     sampled = hank.T @ (scipy.integrate.simpson(hank * f, x=x, axis=1) * np.exp(-0.7 * z) * w)
     root = hank.T @ ((hank @ (f * g.cell_widths())) * z * w)
     for got, ref in ((so.hankel_poisson_oracle(a, 0.7, x, f), sampled),
-                     (so.sqrt_generator_apply(kn.bessel(a), g, f), root)):
+                     (so.sqrt_generator_apply(kn.KernelSetting("bessel", alpha=a), g, f), root)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     for t, x0, y0 in ((0.3, 0.5, 2.0), (1.2, 1.7, 0.9)):
         z, w = _dense_graded_rule(max(40.0, 40.0 / t), math.pi / (2.0 * (x0 + y0 + 1.0)))
@@ -211,7 +211,7 @@ def test_hankel_routes_reject_negative_nodes():
 def test_bessel_sqrt_generator_rejects_real_line_grid():
     g = Grid1D.symmetric(4.0, 16)
     with pytest.raises(DomainError):
-        so.sqrt_generator_apply(kn.bessel(1.5), g, np.exp(-g.nodes ** 2))
+        so.sqrt_generator_apply(kn.KernelSetting("bessel", alpha=1.5), g, np.exp(-g.nodes ** 2))
 
 
 @pytest.mark.parametrize("n", [3, 4, 60, 61, 200, 201])
@@ -243,7 +243,7 @@ def test_hankel_routes_reject_mismatched_samples():
     with pytest.raises(DomainError):
         so.hankel_poisson_oracle(0.8, 0.5, x.nodes, np.ones((2, 20)))
     with pytest.raises(DomainError):
-        so.sqrt_generator_apply(kn.bessel(1.5), x, np.ones((2, 19)))
+        so.sqrt_generator_apply(kn.KernelSetting("bessel", alpha=1.5), x, np.ones((2, 19)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -279,7 +279,7 @@ def _residual_ladder(setting, mode, a, b, n0, levels=4, grade=None):
 
 def test_eigen_residual_hermite_fine_grid():
     g = Grid1D.uniform(-4.0, 4.0, 8000, domain="real-line")
-    assert so.eigen_identity_residual(kn.hermite(), 0, g) < 1e-6
+    assert so.eigen_identity_residual(kn.KernelSetting("hermite"), 0, g) < 1e-6
 
 
 def test_stencil_second_derivative_keeps_its_digits():
@@ -307,11 +307,11 @@ def _sinh_grade(s):
 
 
 @pytest.mark.parametrize("setting,mode,a,b,grade", [
-    (kn.hermite(), 0, -6.0, 6.0, None),
-    (kn.hermite(), 4, -6.0, 6.0, None),
-    (kn.hermite(), 4, -6.0, 6.0, _sinh_grade),
-    (kn.bessel(1.5), 1.0, 0.5, 8.0, None),
-    (kn.laguerre(0.5), 1, 0.5, 8.0, None),
+    (kn.KernelSetting("hermite"), 0, -6.0, 6.0, None),
+    (kn.KernelSetting("hermite"), 4, -6.0, 6.0, None),
+    (kn.KernelSetting("hermite"), 4, -6.0, 6.0, _sinh_grade),
+    (kn.KernelSetting("bessel", alpha=1.5), 1.0, 0.5, 8.0, None),
+    (kn.KernelSetting("laguerre", alpha=0.5), 1, 0.5, 8.0, None),
 ])
 def test_eigen_residual_second_order(setting, mode, a, b, grade):
     res = _residual_ladder(setting, mode, a, b, 400, grade=grade)
@@ -322,7 +322,7 @@ def test_eigen_residual_second_order(setting, mode, a, b, grade):
 def test_eigen_residual_rejects_classical():
     g = Grid1D.uniform(-1.0, 1.0, 50, domain="real-line")
     with pytest.raises(CapabilityError):
-        so.eigen_identity_residual(kn.classical(), 0, g)
+        so.eigen_identity_residual(kn.KernelSetting("classical"), 0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +333,14 @@ def test_eigen_residual_rejects_classical():
 def test_sqrt_generator_oscillator_eigenfunction():
     g = Grid1D.uniform(-10.0, 10.0, 600, domain="real-line")
     h3 = hermite_function_table(3, g.nodes)[3]
-    out = so.sqrt_generator_apply(kn.hermite(), g, h3)
+    out = so.sqrt_generator_apply(kn.KernelSetting("hermite"), g, h3)
     assert np.max(np.abs(out - math.sqrt(3.5) * h3)) < 1e-10
 
 
 def test_sqrt_generator_laguerre_eigenfunction():
     g = Grid1D.uniform(0.0, 14.0, 1400, domain="half-line")
     p2 = laguerre_function_table(2, 0.8, g.nodes)[2]
-    out = so.sqrt_generator_apply(kn.laguerre(0.8), g, p2)
+    out = so.sqrt_generator_apply(kn.KernelSetting("laguerre", alpha=0.8), g, p2)
     assert np.max(np.abs(out - math.sqrt(5.3) * p2)) < 5e-4
 
 
@@ -349,20 +349,20 @@ def test_sqrt_generator_classical_refuses_graded_grid():
     s = np.linspace(-1.0, 1.0, 64)
     g = Grid1D(8.0 * s * (1.0 + s * s) / 2.0, domain="real-line")
     with pytest.raises(DomainError):
-        so.sqrt_generator_apply(kn.classical(), g, np.exp(-g.nodes ** 2))
+        so.sqrt_generator_apply(kn.KernelSetting("classical"), g, np.exp(-g.nodes ** 2))
 
 
 def test_sqrt_generator_classical_squares_to_generator():
     g = Grid1D.symmetric(16.0, 1024)
     f = np.exp(-g.nodes ** 2)
-    twice = so.sqrt_generator_apply(kn.classical(0.5), g,
-                                    so.sqrt_generator_apply(kn.classical(0.5), g, f))
+    flat = kn.KernelSetting("classical", diffusion=0.5)
+    twice = so.sqrt_generator_apply(flat, g, so.sqrt_generator_apply(flat, g, f))
     target = -0.5 * (4.0 * g.nodes ** 2 - 2.0) * np.exp(-g.nodes ** 2)
     # window-truncation artifacts concentrate at the edges; check the interior
     interior = np.abs(g.nodes) <= 8.0
     assert np.max(np.abs((twice - target)[interior])) < 2e-2
     # single application against a continuous-transform quadrature oracle
-    once = so.sqrt_generator_apply(kn.classical(0.5), g, f)
+    once = so.sqrt_generator_apply(flat, g, f)
     i = int(np.argmin(np.abs(g.nodes - 1.0)))
     x0 = g.nodes[i]
     oracle, _ = scipy.integrate.quad(
@@ -376,8 +376,8 @@ def test_sqrt_generator_bessel_squares_to_generator():
     nu = 1.0
     x = g.nodes
     f = x ** (nu + 0.5) * np.exp(-x ** 2)
-    twice = so.sqrt_generator_apply(kn.bessel(1.5), g,
-                                    so.sqrt_generator_apply(kn.bessel(1.5), g, f))
+    bes = kn.KernelSetting("bessel", alpha=1.5)
+    twice = so.sqrt_generator_apply(bes, g, so.sqrt_generator_apply(bes, g, f))
     fpp = ((nu + 0.5) * (nu - 0.5) * x ** (nu - 1.5)
            - 2.0 * (2.0 * nu + 2.0) * x ** (nu + 0.5)
            + 4.0 * x ** (nu + 2.5)) * np.exp(-x ** 2)

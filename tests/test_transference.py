@@ -137,12 +137,6 @@ def test_panel_integral_matches_per_panel_loop():
             assert tr._panel_integral(integrand, edges) == pytest.approx(loop, rel=1e-14)
 
 
-def test_isometry_rejects_massless_test_function():
-    e = tr.chart_entry("delta_alpha", 1.0)
-    with pytest.raises(DomainError):
-        tr.isometry_defect(e, test=lambda z: np.zeros_like(z))
-
-
 # ---------------------------------------------------------------------------
 # differential expressions
 # ---------------------------------------------------------------------------
