@@ -99,15 +99,19 @@ class Covering:
 
 
 def _max_overlap(centers: np.ndarray, radii: np.ndarray) -> int:
-    """Exhaustive max cardinality of dilated-ball intersections, chunked."""
-    worst = 0
+    """Exact max cardinality of dilated-ball intersections on sorted centers:
+    pairs (i, i + d) count at both ends for d = 1, 2, ... until every gap at
+    offset d clears reach_i + max reach, past which gaps only grow."""
     reach = _DILATION * radii
-    for start in range(0, centers.size, 512):
-        sl = slice(start, start + 512)
-        gap = np.abs(centers[sl, None] - centers[None, :])
-        hits = gap < (reach[sl, None] + reach[None, :])
-        worst = max(worst, int(hits.sum(axis=1).max()))
-    return worst
+    hits = np.ones(centers.size, dtype=int)
+    for d in range(1, centers.size):
+        gap = centers[d:] - centers[:-d]
+        meet = gap < reach[:-d] + reach[d:]
+        hits[:-d] += meet
+        hits[d:] += meet
+        if np.all(gap >= reach[:-d] + reach.max()):
+            break
+    return int(hits.max())
 
 
 def build_covering(window: float) -> Covering:

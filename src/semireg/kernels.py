@@ -592,14 +592,12 @@ def _subordinate(setting: KernelSetting, t, dt, x, y):
         col += uu.size
     shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
     out = np.zeros((times.size, math.prod(shape)))
-    # one decade of base nodes at a time bounds the heat-kernel block's memory
+    # one heat call per decade of base nodes, u as a column against (x, y):
+    # its temporaries, 16 kernels' worth, bound the call's memory
     step = _PANELS_PER_DECADE * _PANEL_NODES
-    heat = np.empty((step,) + shape)
     for lo in range(0, u.size, step):
-        block = heat[: u.size - lo]
-        for q, uq in enumerate(u[lo:lo + step]):
-            block[q] = heat_kernel(setting, uq, x, y)
-        out += weights[:, lo:lo + step] @ block.reshape(len(block), -1)
+        block = heat_kernel(setting, u[lo:lo + step].reshape((-1,) + (1,) * len(shape)), x, y)
+        out += weights[:, lo:lo + step] @ block.reshape(block.shape[0], -1)
     out = out.reshape(times.shape + shape)
     return out if np.ndim(t) else out[0]
 

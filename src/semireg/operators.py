@@ -905,67 +905,68 @@ def estimate_ratio_supremum(record: EstimateRecord, levels: int = 3) -> SweepRep
     per refinement level, from the record's base shape.
 
     Sample grids nest (each level doubles the panel count of an inclusive
-    linspace), so the per-level suprema are nondecreasing and their growth
-    measures how close the coarse sup is to saturation.
+    linspace or geomspace, and both nest bit for bit), so the per-level
+    suprema are nondecreasing and their growth measures how close the coarse
+    sup is to saturation.  The finest level is swept once; level l reads
+    every 2^(levels - 1 - l)-th of its samples along each axis.
 
     Per time slice u, the record's region is called on 1-D arrays of the
     slice's (x, y) sample points, and its lhs and rhs on 1-D arrays of the
     admissible ones only; all three must be elementwise in (x, y).
     """
+    if levels < 1:
+        raise DomainError(f"levels must be >= 1, got {levels}")
     box, base = record.box, record.base_shape
-    series = {k: [] for k in ("sup_ratio", "h_time", "h_space",
-                              "argmax_t", "argmax_x", "argmax_y")}
-    levels_out = []
-    for level in range(levels):
-        # space axes on wide positive boxes are sampled geometrically so
-        # that corner maximizers near the origin are resolved early; both
-        # samplings nest under doubling, keeping per-level sups monotone
-        axes = []
-        for pos, ((lo, hi), n) in enumerate(zip(box, base)):
-            count = (n - 1) * 2**level + 1
-            if pos > 0 and lo > 0.0 and hi / lo >= 20.0:
-                axes.append(np.geomspace(lo, hi, count))
-            else:
-                axes.append(np.linspace(lo, hi, count))
-        us, xs, ys = axes
-        # the slice's (x, y) points, flattened x-major
-        X, Y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
-        sup = 0.0
-        argmax = (math.nan, math.nan, math.nan)
-        populated = False
-        # one time slice at a time, and only its admissible points, keeps
-        # the angular-quadrature arrays small
-        for u in us:
-            mask = np.broadcast_to(record.region(float(u), X, Y), X.shape)
-            if not mask.any():
+    # space axes on wide positive boxes are sampled geometrically so that
+    # corner maximizers near the origin are resolved early
+    axes = []
+    for pos, ((lo, hi), n) in enumerate(zip(box, base)):
+        count = (n - 1) * 2 ** (levels - 1) + 1
+        if pos > 0 and lo > 0.0 and hi / lo >= 20.0:
+            axes.append(np.geomspace(lo, hi, count))
+        else:
+            axes.append(np.linspace(lo, hi, count))
+    us, xs, ys = axes
+    # the slice's (x, y) points, flattened x-major
+    X, Y = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    strides = [2 ** (levels - 1 - level) for level in range(levels)]
+    sup, populated = np.zeros(levels), np.zeros(levels, dtype=bool)
+    argmax = np.full((levels, 3), math.nan)
+    # one time slice at a time, and only its admissible points, keeps the
+    # angular-quadrature arrays small
+    for i, u in enumerate(us):
+        mask = np.broadcast_to(record.region(float(u), X, Y), X.shape)
+        if not mask.any():
+            continue
+        x, y = X[mask], Y[mask]
+        lhs = np.broadcast_to(np.asarray(record.lhs(float(u), x, y), float), x.shape)
+        rhs = np.broadcast_to(np.asarray(record.rhs(float(u), x, y), float), x.shape)
+        if np.any(rhs < 0.0):
+            raise DomainError(f"record {record.identifier}: RHS negative on the region")
+        # deep-tail Gaussians underflow to exact zero on both sides;
+        # such points are vacuous, but a positive LHS there is a failure
+        live = rhs > 0.0
+        if np.any(lhs[~live] > 0.0):
+            raise DomainError(f"record {record.identifier}: RHS vanishes under a positive LHS")
+        ratio = np.full(X.shape, -np.inf)
+        ratio[np.flatnonzero(mask)[live]] = lhs[live] / rhs[live]
+        ratio, mask = ratio.reshape(xs.size, ys.size), mask.reshape(xs.size, ys.size)
+        for level, s in enumerate(strides):
+            if i % s:
                 continue
-            populated = True
-            x, y = X[mask], Y[mask]
-            lhs = np.broadcast_to(np.asarray(record.lhs(float(u), x, y), float), x.shape)
-            rhs = np.broadcast_to(np.asarray(record.rhs(float(u), x, y), float), x.shape)
-            if np.any(rhs < 0.0):
-                raise DomainError(f"record {record.identifier}: RHS negative on the region")
-            # deep-tail Gaussians underflow to exact zero on both sides;
-            # such points are vacuous, but a positive LHS there is a failure
-            live = rhs > 0.0
-            if np.any(lhs[~live] > 0.0):
-                raise DomainError(f"record {record.identifier}: RHS vanishes under a positive LHS")
-            if live.any():
-                ratio = lhs[live] / rhs[live]
-                best = int(np.argmax(ratio))
-                if float(ratio[best]) > sup:
-                    sup = float(ratio[best])
-                    argmax = (float(u), float(x[live][best]), float(y[live][best]))
-        if not populated:
-            raise DomainError(f"record {record.identifier}: empty region on the sampled box")
-        levels_out.append(level)
-        series["sup_ratio"].append(sup)
-        series["h_time"].append((box[0][1] - box[0][0]) / (us.size - 1))
-        series["h_space"].append((box[1][1] - box[1][0]) / (xs.size - 1))
-        series["argmax_t"].append(argmax[0])
-        series["argmax_x"].append(argmax[1])
-        series["argmax_y"].append(argmax[2])
-    return SweepReport(identifier=record.identifier, levels=levels_out, series=series)
+            populated[level] |= mask[::s, ::s].any()
+            sub = ratio[::s, ::s]
+            j, k = np.unravel_index(np.argmax(sub), sub.shape)
+            if sub[j, k] > sup[level]:
+                sup[level] = sub[j, k]
+                argmax[level] = u, xs[s * j], ys[s * k]
+    if not populated.all():
+        raise DomainError(f"record {record.identifier}: empty region on the sampled box")
+    series = {"sup_ratio": sup.tolist(),
+              "h_time": [(box[0][1] - box[0][0]) / (us[::s].size - 1) for s in strides],
+              "h_space": [(box[1][1] - box[1][0]) / (xs[::s].size - 1) for s in strides]}
+    series.update(zip(("argmax_t", "argmax_x", "argmax_y"), argmax.T.tolist()))
+    return SweepReport(identifier=record.identifier, levels=list(range(levels)), series=series)
 
 
 # ---------------------------------------------------------------------------

@@ -141,27 +141,33 @@ def _multiplier_apply(table, weights, values, multiplier):
 def _frequency_panels(z_max: float, panel_len: float):
     """Graded composite Gauss-Legendre rule on (0, z_max], 8 nodes per panel.
 
-    Edges 0, L 2^-20, ..., L/2, L, then equal panels of length <= L up to
+    Edges 0, L 2^-21, ..., L/2, L, then equal panels of length <= L up to
     z_max; L = panel_len resolves the Bessel oscillation, and the dyadic
-    panels the z^{2 alpha} behaviour of the integrands at z = 0.  Against 32
-    nodes per panel and 60 dyadic levels, alpha in {0.55, 0.7, 0.9, 1.5,
-    2.3}, the oracles agree to 1.2e-14 relative (a uniform 16-node rule:
-    5e-8 for the sampled oracle and 8e-7 for the kernel oracle, alpha 0.55).
+    panels the z^{2 alpha} behaviour of the integrands at z = 0.  Callers
+    take L = pi/(max x + 1), half an oscillation.  Against 32 nodes per
+    panel of length L/2 and 60 dyadic levels, the Poisson oracle (t = 0,
+    0.7) and the Bessel square root on (0, 6)/120, (0, 8)/200 and (0, 10)/400
+    nodes agree to 1.1e-14 normwise for alpha in {0.55, 1.5, 3, 6, 10},
+    1.6e-14 at alpha = 0.3 and 2.9e-11 at alpha = 0.05, where the z^{2 alpha}
+    endpoint sets the error (L/2 with 20 dyadic levels: 1.3e-14 at alpha =
+    0.3, the same elsewhere; L with 20 levels: twice that at alpha = 0.3 and
+    0.05; 3L: 2.5e-7).
     """
     if not z_max > panel_len > 0.0:
         raise DomainError("need z_max > panel length > 0")
     n = math.ceil(z_max / panel_len) - 1
-    edges = np.concatenate([[0.0], panel_len * 2.0 ** np.arange(-20, 0),
+    edges = np.concatenate([[0.0], panel_len * 2.0 ** np.arange(-21, 0),
                             np.linspace(panel_len, z_max, n + 1)])
     return gauss_legendre_panels(edges, 8)
 
 
-def _hankel_rule(nu: float, x, z_max: float = 40.0):
-    """Frequency rule (z, w) for samples on the nodes x, and the (z x x)
-    Hankel matrix sqrt(zx) J_nu(zx) on it; its transpose is the x x z one."""
+def _hankel_rule(nu: float, x):
+    """Frequency rule (z, w) on (0, 40] for samples on the nodes x, and the
+    (z x x) Hankel matrix sqrt(zx) J_nu(zx) on it; its transpose is the
+    x x z one."""
     if not np.all(x >= 0.0):
         raise DomainError("Hankel nodes must be nonnegative")
-    z, w = _frequency_panels(z_max, math.pi / (2.0 * (np.max(x) + 1.0)))
+    z, w = _frequency_panels(40.0, math.pi / (np.max(x) + 1.0))
     arg = np.multiply.outer(z, x)
     return z, w, np.sqrt(arg) * bessel_j(nu, arg)
 
@@ -187,8 +193,7 @@ def _simpson_weights(x):
     return w
 
 
-def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
-                          z_max: float | None = None):
+def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values):
     """Poisson semigroup applied to a sampled function via the Hankel route.
 
     Forward transform, multiplication by e^{-t z}, inverse transform (the
@@ -202,7 +207,7 @@ def hankel_poisson_oracle(alpha: float, t: float, x_nodes, f_values,
     x, f = np.asarray(x_nodes, dtype=float), np.asarray(f_values, dtype=float)
     if x.ndim != 1 or f.shape != x.shape:
         raise DomainError("nodes and samples must be 1-D arrays of one length")
-    z, w, kernel = _hankel_rule(alpha - 0.5, x, 40.0 if z_max is None else z_max)
+    z, w, kernel = _hankel_rule(alpha - 0.5, x)
     return _multiplier_apply(kernel, _simpson_weights(x), f, np.exp(-t * z) * w)
 
 
@@ -212,8 +217,8 @@ def hankel_poisson_kernel_oracle(alpha: float, t: float, x: float, y: float) -> 
     if not all(0.0 < v < math.inf for v in (alpha, t, x, y)):
         raise DomainError("all arguments must be positive and finite")
     nu = alpha - 0.5
-    # e^{-tz} controls the tail; keep panels below a quarter oscillation
-    z, w = _frequency_panels(max(40.0, 40.0 / t), math.pi / (2.0 * (x + y + 1.0)))
+    # e^{-tz} controls the tail; panels of half an oscillation of J_nu J_nu
+    z, w = _frequency_panels(max(40.0, 40.0 / t), math.pi / (x + y + 1.0))
     vals = z * np.exp(-t * z) * bessel_j(nu, x * z) * bessel_j(nu, y * z)
     return math.sqrt(x * y) * float(np.sum(w * vals))
 

@@ -38,6 +38,30 @@ def test_covering_covers_with_window_independent_overlap(window):
     assert cov.centers[0] == -cov.centers[-1] and cov.centers[-1] > window
 
 
+def _pairwise_overlap(centers, radii):
+    """Brute-force max count of dilated balls meeting one of them."""
+    reach = covering._DILATION * radii
+    hits = np.abs(centers[:, None] - centers[None, :]) < reach[:, None] + reach[None, :]
+    return int(hits.sum(axis=1).max())
+
+
+@pytest.mark.parametrize("window", [8.0, 16.0, 40.0])
+def test_max_overlap_equals_pairwise_count(window):
+    cov = build_covering(window)
+    expect = _pairwise_overlap(cov.centers, cov.radii)
+    assert covering._max_overlap(cov.centers, cov.radii) == expect
+
+
+def test_max_overlap_equals_pairwise_count_on_a_synthetic_chain():
+    # sorted centers with uneven gaps and radii varying 20-fold
+    rng = np.random.default_rng(7)
+    centers = np.cumsum(rng.uniform(0.01, 1.0, 300))
+    radii = rng.uniform(0.05, 1.0, 300)
+    expect = _pairwise_overlap(centers, radii)
+    assert expect > 5
+    assert covering._max_overlap(centers, radii) == expect
+
+
 def test_region_sandwich(cov8):
     assert region_sandwich_check(cov8, LINE.space.nodes) == (0, 0)
 

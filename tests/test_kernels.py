@@ -608,6 +608,22 @@ def test_heat_laguerre_gaussian_envelope_stable():
     assert ratios[1] <= ratios[0] * 1.10
 
 
+@pytest.mark.parametrize("heat,lo", [
+    (kn.heat_hermite, -6.0),
+    (lambda t, x, y: kn.heat_laguerre(1.5, t, x, y), 0.05),
+    (lambda t, x, y: kn.heat_laguerre(0.6, t, x, y), 0.05),
+], ids=["hermite", "laguerre-1.5", "laguerre-0.6"])
+def test_heat_kernels_on_a_time_column_equal_scalar_calls(heat, lo):
+    # the subordination evaluates one block of log-u nodes per call, as a
+    # (16, 1, 1) column against (x, y); each row must be the scalar call's
+    u = np.geomspace(1e-4, 300.0, 16)
+    x = np.linspace(lo, 6.0, 24)
+    X, Y = x[:, None], x[None, :]
+    block = heat(u.reshape(-1, 1, 1), X, Y)
+    assert block.shape == (16, 24, 24)
+    assert np.array_equal(block, np.stack([heat(float(uq), X, Y) for uq in u]))
+
+
 # ---------------------------------------------------------------------------
 # subordination
 # ---------------------------------------------------------------------------

@@ -700,12 +700,26 @@ class TestEstimateCatalog:
         with pytest.raises(DomainError):
             estimate_ratio_supremum(bad, levels=1)
 
+    def test_sweep_needs_a_level(self):
+        with pytest.raises(DomainError):
+            estimate_ratio_supremum(estimate_catalog()[0], levels=0)
+
     @pytest.mark.parametrize("record", estimate_catalog(), ids=lambda r: r.identifier)
     def test_sweep_equals_full_grid_then_mask(self, record):
         got = estimate_ratio_supremum(record, levels=2).series
         expect = _full_grid_sweep(record, levels=2)
         for name, values in expect.items():
             np.testing.assert_allclose(got[name], values, rtol=1e-13, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("record", estimate_catalog(), ids=lambda r: r.identifier)
+    def test_coarse_levels_equal_a_shallower_sweep(self, record):
+        # the finest level is swept once and coarse levels read its samples;
+        # the samplings nest bit for bit, so levels 0 and 1 are those of a
+        # two-level sweep exactly
+        shallow = estimate_ratio_supremum(record, levels=2).series
+        deep = estimate_ratio_supremum(record, levels=3).series
+        for name, values in shallow.items():
+            assert deep[name][:2] == values, name
 
     def test_sweep_evaluates_only_admissible_points(self):
         def region(u, x, y):

@@ -49,10 +49,6 @@ ALLOWED = {name for names in ALLOWED_BY_REASON.values() for name in names}
 # defaulted parameters that no caller passes, kept on purpose: reason ->
 # (module, function, parameter)
 ALLOWED_PARAMETERS_BY_REASON = {
-    "a shorter cutoff keeps the tier-1 Hankel round trip fast (0.90 s against "
-    "1.62 s at the default)": (
-        ("spectral_oracle", "hankel_poisson_oracle", "z_max"),
-    ),
     "lifts the cap guard for the 255-term truncation tests": (
         ("spectral_oracle", "hermite_heat_series", "index_cap"),
         ("spectral_oracle", "laguerre_heat_series", "index_cap"),

@@ -89,7 +89,7 @@ def test_hankel_round_trip_identity():
     nu = alpha - 0.5
     g = Grid1D.uniform(0.0, 10.0, 2000, domain="half-line")
     f = g.nodes ** (nu + 0.5) * np.exp(-g.nodes ** 2)
-    back = so.hankel_poisson_oracle(alpha, 0.0, g.nodes, f, z_max=20.0)
+    back = so.hankel_poisson_oracle(alpha, 0.0, g.nodes, f)
     assert np.max(np.abs(back - f)) < 1e-5
 
 
@@ -126,7 +126,7 @@ def test_hankel_oracle_is_transform_multiplier_inverse(a, t):
     nu = a - 0.5
     x = Grid1D.uniform(0.0, 6.0, 120, domain="half-line").nodes
     f = x ** a * np.exp(-((x - 2.0) ** 2))
-    z, w = so._frequency_panels(40.0, math.pi / (2.0 * (x.max() + 1.0)))
+    z, w = so._frequency_panels(40.0, math.pi / (x.max() + 1.0))
     arg = np.multiply.outer(z, x)
     forward = (np.sqrt(arg) * scipy.special.jv(nu, arg)) @ (so._simpson_weights(x) * f)
     g = forward * np.exp(-t * z) * w
@@ -174,7 +174,7 @@ def _dense_graded_rule(z_max, panel):
     return (half * base_x + mid).ravel(), (half * base_w).ravel()
 
 
-@pytest.mark.parametrize("a", [0.55, 0.7, 0.9, 1.5, 2.3])
+@pytest.mark.parametrize("a", [0.3, 0.55, 0.7, 0.9, 1.5, 2.3, 6.0])
 def test_hankel_routes_match_dense_graded_reference(a):
     nu = a - 0.5
     g = Grid1D.uniform(0.0, 8.0, 60, domain="half-line")
@@ -254,9 +254,6 @@ def test_hankel_routes_reject_non_finite_arguments(bad):
         so.hankel_poisson_kernel_oracle(0.8, 0.5, bad, 1.0)
     with pytest.raises(DomainError):
         so.hankel_poisson_oracle(0.8, bad, np.array([0.5, 1.0, 1.5]), np.ones(3))
-    # a frequency cutoff inside the first panel leaves no rule to build
-    with pytest.raises(DomainError):
-        so.hankel_poisson_oracle(0.8, 0.5, np.array([0.5, 1.0, 1.5]), np.ones(3), z_max=0.1)
 
 
 # ---------------------------------------------------------------------------
